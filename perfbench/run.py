@@ -3,12 +3,12 @@
     python3 perfbench/run.py --workload crawl_full --seed 42 --seconds 20 --trace 0
 
 One run starts a local 2-CPU Ray node, generates the workload's world
-from ``--seed``, warms the node on a tiny world, uploads the page store,
-then times passes of the barrier pipeline (``crawl()``, then
-``extract_locations`` and ``assemble_documents`` materialized) and
-reports medians over them. Every output of every pass is checked against
-values computed apart from the engine (perfbench/checks.py). The last
-stdout line is one JSON object:
+from ``--seed`` and uploads its page store, then runs passes of the
+barrier pipeline (``crawl()``, then ``extract_locations`` and
+``assemble_documents`` materialized): a warm-up pass that set-up time
+includes, then timed passes whose medians it reports. Every output of
+every pass is checked against values computed apart from the engine
+(perfbench/checks.py). The last stdout line is one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``; with ``--trace 1`` the
 metrics are the per-layer ones and the spans go to
 ``perfbench/out/trace-<workload>-<seed>.jsonl``. See perfbench/README.md.
@@ -37,7 +37,7 @@ NUM_CPUS = 2  # crawl() never returns on a 1-CPU node; see README
 PHASES = ("grant", "mark_wait", "rank_finish", "submit", "hook", "fetch_wait",
           "visited", "backoff_ckpt", "reduce_wait", "fresh_merge", "metrics",
           "final")
-MIN_PASSES = 4
+MIN_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -104,29 +104,57 @@ class RssPeak:
             self.peak = max(self.peak, self._rss())
 
 
-def start_ray() -> None:
-    """Local node with 2 logical CPUs.
+def ray_temp_dir() -> str | None:
+    """Directory for the node's files (session logs, sockets, the object
+    store's memory-mapped file, spilled objects, temp files): ``.ray`` in
+    the checkout, so a run writes nothing outside it. None (Ray's defaults:
+    the system temp dir and /dev/shm) when the checkout path is so long
+    that the node's Unix socket paths would pass the 107-byte AF_UNIX
+    limit."""
+    tmp = os.path.join(ROOT, ".ray")
+    session = "session_YYYY-mm-dd_HH-MM-SS_ffffff_" + str(os.getpid())
+    if len(os.path.join(tmp, session, "sockets", "plasma_store").encode()) <= 107:
+        return tmp
+    print("perfbench: checkout path too long for Ray's sockets; node files go "
+          "under the system temp dir", file=sys.stderr)
+    return None
+
+
+def start_ray(temp_dir: str | None) -> None:
+    """A new local node with 2 logical CPUs, whatever ``RAY_ADDRESS`` says.
 
     The node inherits this process's environment, so the repo root goes
     on PYTHONPATH before ``ray.init``: the package has no install
     metadata, and a sys.path edit in this process does not reach the
     workers. (Passing it as ``runtime_env`` env_vars works too, but every
     worker start then goes through the runtime-env agent: set-up took
-    ~25 s instead of ~17 s here.)
+    ~25 s instead of ~17 s here.) The node binds to 127.0.0.1 and sends
+    no usage statistics, so it needs no network.
 
     Idle workers are kept, as on a node with more CPUs: by default Ray
-    reaps idle workers past num_cpus after 1 s, and re-spawning them on
-    one core made pass times vary by a fifth from run to run."""
+    reaps idle workers past num_cpus after 1 s, and re-spawning them
+    made pass times vary by a fifth from run to run. Worker
+    registration (120 s) and node health checks (20 missed probes) get
+    longer timeouts than Ray's defaults (60 s, 5), so a host that is busy
+    for a while slows a run down instead of failing it."""
     import logging
 
-    import ray
-    import ray.data
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
-    ray.init(num_cpus=NUM_CPUS, include_dashboard=False, logging_level="ERROR",
-             log_to_driver=False,
+    os.environ["RAY_USAGE_STATS_ENABLED"] = "0"
+    if temp_dir:
+        os.makedirs(temp_dir, exist_ok=True)
+        os.environ["TMPDIR"] = temp_dir
+    import ray
+    import ray.data
+    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
+             logging_level="ERROR", log_to_driver=False,
+             _node_ip_address="127.0.0.1", _temp_dir=temp_dir,
+             _plasma_directory=temp_dir, object_store_memory=512 * 2**20,
              _system_config={"num_workers_soft_limit": 24,
-                             "idle_worker_killing_time_threshold_ms": 600_000})
+                             "idle_worker_killing_time_threshold_ms": 600_000,
+                             "worker_register_timeout_seconds": 120,
+                             "health_check_failure_threshold": 20})
     ray.data.DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
@@ -170,10 +198,10 @@ def _wait_gone(procs, seconds: float) -> list[tuple[int, str]]:
         time.sleep(0.1)
 
 
-def stop_ray() -> None:
+def stop_ray(temp_dir: str | None) -> None:
     """Shut the node down and wait until every process it started has
     ended (ray.shutdown() returns before its workers exit); kill any left
-    after 20 s."""
+    after 20 s. Then remove the node's session files."""
     import ray
     procs = _descendants()
     ray.shutdown()
@@ -183,6 +211,8 @@ def stop_ray() -> None:
         except ProcessLookupError:
             pass
     _wait_gone(procs, 10)
+    if temp_dir:
+        shutil.rmtree(temp_dir, ignore_errors=True)
 
 
 def crawl_args(wl: Workload, checkpoint_dir=None, page_hook=None) -> dict:
@@ -208,17 +238,6 @@ def tail(pages, tracer) -> tuple:
         docs = assemble_documents(pages).materialize()
         docs.count()
     return locs, docs, t1 - t0, time.perf_counter() - t1
-
-
-def warmup() -> None:
-    """Crawl + tail on a tiny world: starts the worker pool and the
-    crawl's warm bookkeeping actors, imports every stage once."""
-    from spans import Tracer
-    from web_crawler_ray.pipelines.crawl import crawl
-    from web_crawler_ray.sources import synth_world as W
-    pages, robots, seeds = W.world(seed=7, n_hosts=4, pages_per_host_base=10)
-    res = crawl(pages, robots, seeds, **crawl_args(WORKLOADS["crawl_full"]))
-    tail(res.pages, Tracer(False))
 
 
 def timed_pass(wl: Workload, store, robots, seeds, ckpt, tracer) -> dict:
@@ -362,9 +381,10 @@ def per_layer(tracer, passes: list[dict], last: dict, world, exp) -> tuple[dict,
               "crawl.seen_keys": stats["seen"], "crawl.round0_s": med("round0_s"),
               "tail.locations_s": med("locations_s"), "tail.documents_s": med("documents_s"),
               "pass.traced_run_s": med("run_s")})
-    st = tracer.self_times()
+    took = {s["name"]: s["end"] - s["start"] for s in tracer.spans
+            if s["name"].startswith("setup.")}
     for k in ("world", "ray_init", "warmup", "upload"):
-        m[f"setup.{k}_s"] = st[f"setup.{k}"]
+        m[f"setup.{k}_s"] = took[f"setup.{k}"]
     fetched = exp["fetched"]
     with tracer.span("layer.links"):
         v, per_page = layers.links(fetched)
@@ -409,8 +429,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=42, help="world seed")
     ap.add_argument("--seconds", type=int, default=20,
-                    help="measured time: passes repeat until their run_s adds "
-                         f"up to this (at least {MIN_PASSES} passes)")
+                    help="measured time: after the warm-up pass, timed passes "
+                         f"repeat until their run_s adds up to this (at least "
+                         f"{MIN_PASSES})")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     sys.path.insert(0, ROOT)
@@ -425,6 +446,9 @@ def main(argv=None) -> int:
     from web_crawler_ray.pipelines.crawl import put_page_store
     from web_crawler_ray.sources import synth_world as W
 
+    # SIGTERM (a timeout, say) unwinds like Ctrl-C, so the finally block
+    # below still shuts the node down and waits for its processes
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     wl = WORKLOADS[args.workload]
     tracer = Tracer(args.trace == 1)
     result_out, sys.stdout = sys.stdout, sys.stderr  # Ray prints to stdout
@@ -433,24 +457,49 @@ def main(argv=None) -> int:
     passes: list[dict] = []
     problems: list[str] = []
     ckpt = None
+    ray_tmp = ray_temp_dir()
     try:
         sid = tracer.begin("setup", T_START)
         with tracer.span("setup.ray_init"):
-            start_ray()
+            start_ray(ray_tmp)
         with tracer.span("setup.world"):
             world = W.world(seed=args.seed, n_hosts=wl.n_hosts,
                             pages_per_host_base=wl.pages_per_host_base,
                             profile=wl.profile)
-        with tracer.span("setup.warmup"):
-            warmup()
         with tracer.span("setup.upload"):
             store = put_page_store(world[0])
+        # warm-up: one pass on the workload's own world, checked below.
+        # The first crawl of a node spawns the workers of its state
+        # actors and tasks; on a tiny world it left the next crawl 1-2.5 s
+        # slower than the ones after it.
+        ckpt = tempfile.mkdtemp(prefix="ckpt-", dir=OUT_DIR) if wl.checkpoint else None
+        with tracer.span("setup.warmup"):
+            last = timed_pass(wl, store, world[1], world[2], ckpt, tracer)
         gc.collect()
         setup_s = time.perf_counter() - T_START
         tracer.end(sid)
         with tracer.span("check.oracle"):
             exp = expectations(wl, world)
+        n_checked = 0
         while True:
+            with tracer.span("check"):
+                problems += check_pass(exp, last, ckpt)
+            n_checked += 1
+            if ckpt:
+                shutil.rmtree(ckpt, ignore_errors=True)
+                ckpt = None
+            print(("warm-up pass: " if n_checked == 1 else f"pass {n_checked - 1}: ")
+                  + " ".join(f"{k}={last[k]:.3f}" for k in
+                             ("run_s", "crawl_s", "tail_s", "round_p50_s")),
+                  file=sys.stderr)
+            if n_checked > 1:
+                passes.append({k: v for k, v in last.items()
+                               if k not in ("res", "locs", "docs")}
+                              | {"rss": rss.peak,
+                                 "phases": last["res"].stats["driver_phases"]})
+                if (len(passes) >= MIN_PASSES
+                        and sum(q["run_s"] for q in passes) >= args.seconds):
+                    break
             last = None  # the previous pass's Datasets go before the next crawl
             gc.collect()
             ckpt = tempfile.mkdtemp(prefix="ckpt-", dir=OUT_DIR) if wl.checkpoint else None
@@ -458,20 +507,6 @@ def main(argv=None) -> int:
                 sid = tracer.begin("pass")
                 last = timed_pass(wl, store, world[1], world[2], ckpt, tracer)
                 tracer.end(sid)
-            with tracer.span("check"):
-                problems += check_pass(exp, last, ckpt)
-            if ckpt:
-                shutil.rmtree(ckpt, ignore_errors=True)
-                ckpt = None
-            passes.append({k: v for k, v in last.items()
-                           if k not in ("res", "locs", "docs")}
-                          | {"rss": rss.peak, "phases": last["res"].stats["driver_phases"]})
-            print(f"pass {len(passes)}: " + " ".join(
-                f"{k}={passes[-1][k]:.3f}" for k in ("run_s", "crawl_s", "tail_s",
-                                                    "round_p50_s")), file=sys.stderr)
-            if (len(passes) >= MIN_PASSES
-                    and sum(q["run_s"] for q in passes) >= args.seconds):
-                break
         if wl.content_dedup:
             with tracer.span("check.content_dedup"):
                 problems += check_content_dedup(exp, last["res"].pages)
@@ -488,7 +523,7 @@ def main(argv=None) -> int:
     finally:
         if ckpt:
             shutil.rmtree(ckpt, ignore_errors=True)
-        stop_ray()
+        stop_ray(ray_tmp)
     tracer.end(root_span)
     if args.trace:
         tracer.write(os.path.join(OUT_DIR, f"trace-{args.workload}-{args.seed}.jsonl"))
@@ -497,7 +532,7 @@ def main(argv=None) -> int:
     for msg in problems:
         print(f"perfbench: CHECK FAILED: {msg}", file=sys.stderr)
     print(json.dumps({
-        "correct": not problems, "attempted": exp["fetched_n"] * len(passes), "failed": 0,
+        "correct": not problems, "attempted": exp["fetched_n"] * n_checked, "failed": 0,
         "metrics": {k: {"value": v, "unit": unit_of(k)} for k, v in metrics.items()}}),
         file=result_out)
     return 0 if not problems else 1
