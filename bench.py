@@ -84,8 +84,9 @@ def _load_or_build_world(hosts: int = None, base: int = None):
     return pages_store, robots, seeds
 
 
-def headline(num_cpus: int, frontier_mode: str = "dataset") -> dict:
-    """Crawl + extract + dedup + enrich over the synthetic frontier."""
+def headline(num_cpus: int) -> dict:
+    """Crawl, then extract + dedup + enrich and span documents over the
+    crawled pages (the barrier pipeline)."""
     import ray
     import ray.data
 
@@ -98,7 +99,12 @@ def headline(num_cpus: int, frontier_mode: str = "dataset") -> dict:
 
     from web_crawler_ray.pipelines.crawl import crawl, put_page_store
     from web_crawler_ray.pipelines.flagship import (
-        OverlapExtractor, assemble_documents, extract_locations_tail)
+        assemble_documents, extract_locations)
+    from web_crawler_ray.stages.classify import classify_batch
+
+    def locations(pages):
+        return extract_locations(
+            pages.map_batches(classify_batch, batch_format="pyarrow"))
 
     # untimed: build/load + warm the synthetic world (network stand-in)
     pages_store, robots, seeds = _load_or_build_world()
@@ -110,12 +116,10 @@ def headline(num_cpus: int, frontier_mode: str = "dataset") -> dict:
     # setup, not pipeline throughput (run_queries warms up the same way)
     from web_crawler_ray.sources import synth_world as W
     wps, wrb, wsd = W.world(seed=7, n_hosts=16, pages_per_host_base=40)
-    wov = OverlapExtractor()
     wres = crawl(wps, wrb, wsd, max_pages=10_000_000, max_depth=3,
                  round_seconds=3600.0, fetch_concurrency=num_cpus,
-                 n_seen_shards=8, frontier_mode=frontier_mode,
-                 page_hook=wov)
-    extract_locations_tail(wov.dataset()).count()
+                 n_seen_shards=8)
+    locations(wres.pages).count()
     assemble_documents(wres.pages).count()
     # the page-store upload is world setup (the object store IS the
     # stand-in network at cluster scale), not crawl work; sharded by
@@ -124,15 +128,11 @@ def headline(num_cpus: int, frontier_mode: str = "dataset") -> dict:
     del pages_store
 
     t0 = time.time()
-    # overlap mode: per-round classify+extract tasks run WHILE later
-    # rounds crawl (flagship overlap_extract path; output identical to
-    # the barrier form, pinned in tests)
-    ov = OverlapExtractor()
     res = crawl(pages_ref, robots, seeds, max_pages=10_000_000, max_depth=3,
                 round_seconds=3600.0, fetch_concurrency=num_cpus,
-                n_seen_shards=8, frontier_mode=frontier_mode, page_hook=ov)
+                n_seen_shards=8)
     t_crawl = time.time() - t0
-    locs = extract_locations_tail(ov.dataset())
+    locs = locations(res.pages)
     n_locs = locs.count()
     t_locs = time.time() - t0 - t_crawl
     docs = assemble_documents(res.pages)
@@ -353,19 +353,9 @@ def _hw_scaling_ceiling(seconds: float = 5.0) -> dict:
     return out
 
 
-def _frontier_arg() -> str:
-    """Headline frontier mode: DATASET by default — it is both the
-    100 TB shape (sharded object-store frontier) and, since round 3, the
-    faster mode at bench scale. ``--frontier driver`` measures the
-    reference-shaped driver loop (bit-for-bit identical output)."""
-    if "--frontier" in sys.argv:
-        return sys.argv[sys.argv.index("--frontier") + 1]
-    return os.environ.get("GRAFT_FRONTIER_MODE", "dataset")
-
-
 def main():
     if "--headline-only" in sys.argv:
-        h = headline(NUM_CPUS, frontier_mode=_frontier_arg())
+        h = headline(NUM_CPUS)
         print(json.dumps(h))
         return
     if "--scaling" in sys.argv:
@@ -442,8 +432,8 @@ def main():
     # with pipeline throughput), so the headline itself is the probe —
     # two runs, keep the faster; a throttled first run no longer poisons
     # the graded record.
-    h1 = headline(NUM_CPUS, frontier_mode=_frontier_arg())
-    h2 = headline(NUM_CPUS, frontier_mode=_frontier_arg())
+    h1 = headline(NUM_CPUS)
+    h2 = headline(NUM_CPUS)
     h = h1 if h1["sec"] <= h2["sec"] else h2
     q = run_queries(NUM_CPUS)
     print(json.dumps({

@@ -43,39 +43,40 @@ def test_resume_info_empty(tmp_path):
 
 def test_resume_equals_uninterrupted(tmp_path):
     """capped/interrupted run + resumed run ≡ one uninterrupted run:
-    resumed fetch order continues exactly, final seen sets equal."""
+    resumed fetch order continues exactly, final seen sets equal — on
+    three worlds, each cut at its middle checkpoint round."""
+    import shutil
+
     import numpy as np
     import pyarrow as pa
 
-    tbl, robots, seeds = W.world(seed=21, n_hosts=4, pages_per_host_base=16)
-    full = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                 round_seconds=6.0, keep_pages=False)
-    ck = str(tmp_path / "ck")
-    part1 = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                  round_seconds=6.0, checkpoint_dir=ck, keep_pages=False)
-    # simulate a crash after round k: drop checkpoints beyond k
-    import os, shutil
-    rounds = sorted(int(d.split("=")[1]) for d in os.listdir(ck))
-    k = rounds[len(rounds) // 2]
-    for r in rounds:
-        if r > k:
-            shutil.rmtree(os.path.join(ck, f"round={r}"))
-    resumed = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                    round_seconds=6.0, keep_pages=False, resume_from=ck)
-    # fetch order of resumed == uninterrupted rounds > k
-    fv = full.visited
-    tail = fv.filter(pa.compute.greater(fv.column("round"), k))
-    assert resumed.visited.column("url").to_pylist() == tail.column("url").to_pylist()
-    assert resumed.visited.column("round").to_pylist() == tail.column("round").to_pylist()
-    # discovery_seq labels continue EXACTLY (next_seq persisted in the
-    # checkpoint, ADVICE r1 — not re-inferred from max(frontier seq))
-    assert resumed.visited.column("discovery_seq").to_pylist() == \
-        tail.column("discovery_seq").to_pylist()
-    assert np.array_equal(resumed.seen_snapshot, full.seen_snapshot)
-    # stats report the CUMULATIVE fetched count (restored + new)
-    assert resumed.stats["fetched"] == full.stats["fetched"]
-    assert resumed.visited.num_rows == full.stats["fetched"] - full.visited.filter(
-        pa.compute.less_equal(fv.column("round"), k)).num_rows
+    for seed, n_hosts, base in ((21, 4, 16), (31, 3, 14), (37, 3, 12)):
+        tbl, robots, seeds = W.world(seed=seed, n_hosts=n_hosts,
+                                     pages_per_host_base=base)
+        kw = dict(max_pages=10_000, max_depth=3, round_seconds=6.0,
+                  keep_pages=False)
+        full = crawl(tbl, robots, seeds, **kw)
+        ck = str(tmp_path / f"ck{seed}")
+        crawl(tbl, robots, seeds, checkpoint_dir=ck, **kw)
+        # simulate a crash after round k: drop checkpoints beyond k
+        rounds = sorted(int(d.split("=")[1]) for d in os.listdir(ck))
+        k = rounds[len(rounds) // 2]
+        for r in rounds:
+            if r > k:
+                shutil.rmtree(os.path.join(ck, f"round={r}"))
+        resumed = crawl(tbl, robots, seeds, resume_from=ck, **kw)
+        # fetch order of resumed == uninterrupted rounds > k
+        fv = full.visited
+        tail = fv.filter(pa.compute.greater(fv.column("round"), k))
+        for col in ("url", "round", "discovery_seq"):
+            # discovery_seq labels continue EXACTLY (next_seq persisted in
+            # the checkpoint, ADVICE r1 — not re-inferred from max seq)
+            assert resumed.visited.column(col).to_pylist() == \
+                tail.column(col).to_pylist(), (seed, col)
+        assert np.array_equal(resumed.seen_snapshot, full.seen_snapshot), seed
+        # stats report the CUMULATIVE fetched count (restored + new)
+        assert resumed.stats["fetched"] == full.stats["fetched"], seed
+        assert resumed.visited.num_rows == tail.num_rows, seed
 
 
 def test_cap_final_round_links_enter_seen():
@@ -93,87 +94,26 @@ def test_cap_final_round_links_enter_seen():
         assert np.array_equal(e.seen_snapshot, np.array(o_seen, dtype=np.uint64)), cap
 
 
-def test_dataset_mode_checkpoint_resume(tmp_path):
-    """Checkpoints written by frontier_mode='dataset' resume identically
-    (cross-mode: resumed with the driver loop) to an uninterrupted run."""
-    import numpy as np
-    import pyarrow as pa
-
-    tbl, robots, seeds = W.world(seed=31, n_hosts=3, pages_per_host_base=14)
-    full = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                 round_seconds=6.0, keep_pages=False)
-    ck = str(tmp_path / "ck")
-    crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-          round_seconds=6.0, checkpoint_dir=ck, keep_pages=False,
-          frontier_mode="dataset")
-    import shutil
-    rounds = sorted(int(d.split("=")[1]) for d in os.listdir(ck))
-    k = rounds[len(rounds) // 2]
-    for r in rounds:
-        if r > k:
-            shutil.rmtree(os.path.join(ck, f"round={r}"))
-    resumed = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                    round_seconds=6.0, keep_pages=False, resume_from=ck)
-    fv = full.visited
-    tail = fv.filter(pa.compute.greater(fv.column("round"), k))
-    assert resumed.visited.column("url").to_pylist() == tail.column("url").to_pylist()
-    assert resumed.visited.column("discovery_seq").to_pylist() == \
-        tail.column("discovery_seq").to_pylist()
-    assert np.array_equal(resumed.seen_snapshot, full.seen_snapshot)
-
-
-def test_resume_into_dataset_mode(tmp_path):
-    """Driver-mode checkpoints resume under frontier_mode='dataset' with
-    the identical continuation (the other cross-mode direction)."""
-    import numpy as np
-    import pyarrow as pa
-
-    tbl, robots, seeds = W.world(seed=37, n_hosts=3, pages_per_host_base=12)
-    full = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                 round_seconds=6.0, keep_pages=False)
-    ck = str(tmp_path / "ck")
-    crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-          round_seconds=6.0, checkpoint_dir=ck, keep_pages=False)
-    import shutil
-    rounds = sorted(int(d.split("=")[1]) for d in os.listdir(ck))
-    k = rounds[len(rounds) // 2]
-    for r in rounds:
-        if r > k:
-            shutil.rmtree(os.path.join(ck, f"round={r}"))
-    resumed = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                    round_seconds=6.0, keep_pages=False, resume_from=ck,
-                    frontier_mode="dataset")
-    fv = full.visited
-    tail = fv.filter(pa.compute.greater(fv.column("round"), k))
-    assert resumed.visited.column("url").to_pylist() == tail.column("url").to_pylist()
-    assert resumed.visited.column("discovery_seq").to_pylist() == \
-        tail.column("discovery_seq").to_pylist()
-    assert np.array_equal(resumed.seen_snapshot, full.seen_snapshot)
-
-
 def test_visited_spill_equals_in_ram(tmp_path):
     """crawl(visited_spill_dir=...) bounds driver RAM: per-round visited
     parquet under the dir, CrawlResult.visited EMPTY, and the concatenated
-    spill exactly equals the in-RAM visited table — in BOTH frontier
-    modes."""
+    spill exactly equals the in-RAM visited table."""
     import glob
 
     import pyarrow as pa
 
     tbl, robots, seeds = W.world(seed=13, n_hosts=4, pages_per_host_base=16)
-    for mode in ("driver", "dataset"):
-        ram = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                    keep_pages=False, frontier_mode=mode)
-        d = str(tmp_path / f"spill_{mode}")
-        sp = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
-                   keep_pages=False, frontier_mode=mode,
-                   visited_spill_dir=d)
-        assert sp.visited.num_rows == 0
-        assert sp.visited_dir == d
-        files = sorted(glob.glob(os.path.join(d, "round=*.parquet")))
-        assert len(files) == sp.stats["rounds"]
-        spilled = pa.concat_tables([pq.read_table(f) for f in files])
-        assert spilled.num_rows == ram.visited.num_rows
-        assert spilled.sort_by("discovery_seq").equals(
-            ram.visited.sort_by("discovery_seq"))
-        assert sp.stats["fetched"] == ram.stats["fetched"]
+    ram = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
+                keep_pages=False)
+    d = str(tmp_path / "spill")
+    sp = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
+               keep_pages=False, visited_spill_dir=d)
+    assert sp.visited.num_rows == 0
+    assert sp.visited_dir == d
+    files = sorted(glob.glob(os.path.join(d, "round=*.parquet")))
+    assert len(files) == sp.stats["rounds"]
+    spilled = pa.concat_tables([pq.read_table(f) for f in files])
+    assert spilled.num_rows == ram.visited.num_rows
+    assert spilled.sort_by("discovery_seq").equals(
+        ram.visited.sort_by("discovery_seq"))
+    assert sp.stats["fetched"] == ram.stats["fetched"]

@@ -51,6 +51,45 @@ def test_content_dedup_documents():
     assert len(no_dedup) == 5
 
 
+def _settled_cpu() -> float:
+    """Available CPU once the resource view stops changing (actor and
+    task teardown is reported asynchronously)."""
+    import time
+
+    import ray
+    last, deadline = None, time.time() + 15
+    while time.time() < deadline:
+        cur = ray.available_resources().get("CPU", 0.0)
+        if cur == last:
+            return cur
+        last = cur
+        time.sleep(0.5)
+    return last
+
+
+def test_content_dedup_releases_cpu(ray_session):
+    """A materialized content-dedup pass, once dropped, leaves the node's
+    CPU as it found it: the hash-shard actors outlive the Dataset, so
+    any CPU they reserved would starve a later crawl's fetch task on a
+    small node."""
+    import gc
+
+    import pyarrow as pa
+    import ray.data as rd
+    from web_crawler_ray.pipelines.flagship import assemble_documents
+    html = "<html><body><p> mirrored </p></body></html>"
+    pages = rd.from_arrow(pa.table({
+        "url": [f"https://h.example/m{i}" for i in range(3)],
+        "html": [html] * 3}))
+    gc.collect()
+    before = _settled_cpu()
+    docs = assemble_documents(pages, content_dedup=True).materialize()
+    assert docs.count() == 1
+    del docs
+    gc.collect()
+    assert _settled_cpu() == before
+
+
 def test_bulk_pipeline(tmp_path):
     """SURVEY §3.3: bulk CSV -> combined crawl -> per-company summary +
     2-sheet workbook."""
@@ -97,43 +136,3 @@ def test_flagship_v2_defaults_content_dedup(ray_session):
                         round_seconds=6.0, profile="v2", content_dedup=False)
     kept2 = set(out2["documents"].to_pandas()["doc_id"])
     assert all(m in kept2 and o in kept2 for m, o in mirror_pairs)
-
-
-def test_overlap_extract_equals_barrier_path(ray_session):
-    """run_flagship(overlap_extract=True) — per-round extraction tasks
-    overlapping later crawl rounds — must produce exactly the barrier
-    path's locations (fuzzy dedup imposes its own total scan order, so
-    block-boundary differences cannot leak)."""
-    a = run_flagship(seed=42, n_hosts=4, pages_per_host_base=14,
-                     round_seconds=6.0)
-    b = run_flagship(seed=42, n_hosts=4, pages_per_host_base=14,
-                     round_seconds=6.0, overlap_extract=True)
-    la = a["locations"].to_pandas().sort_values(
-        ["discovery_seq", "location_address"]).reset_index(drop=True)
-    lb = b["locations"].to_pandas().sort_values(
-        ["discovery_seq", "location_address"]).reset_index(drop=True)
-    assert len(la) > 0
-    assert la.equals(lb)
-
-
-def test_overlap_assembler_equals_post_crawl_documents(ray_session):
-    """OverlapAssembler (span assembly running as a page_hook during the
-    crawl) must produce exactly assemble_documents(res.pages) — span
-    assembly is a per-page pure map, so block slicing is invisible."""
-    from web_crawler_ray.pipelines.crawl import crawl
-    from web_crawler_ray.pipelines.flagship import (MultiHook,
-                                                    OverlapAssembler,
-                                                    assemble_documents)
-    from web_crawler_ray.sources import synth_world as W
-
-    ps, rb, sd = W.world(seed=11, n_hosts=4, pages_per_host_base=14)
-    oa = OverlapAssembler()
-    res = crawl(ps, rb, sd, max_pages=10_000, max_depth=3,
-                round_seconds=6.0, frontier_mode="dataset",
-                page_hook=MultiHook(oa))
-    got = oa.dataset().to_pandas().sort_values("doc_id").reset_index(drop=True)
-    want = assemble_documents(res.pages).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert len(got) > 0
-    assert sorted(got.columns) == sorted(want.columns)
-    assert got[sorted(got.columns)].equals(want[sorted(want.columns)])

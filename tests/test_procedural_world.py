@@ -1,4 +1,4 @@
-"""Procedural (storage-free) crawl world: mode parity, seen-set
+"""Procedural (storage-free) crawl world: rank-path parity, seen-set
 arithmetic (pages x (1+ghosts)), canonical fixed points, and the ghost
 links' insert-time robots gating (sources/procedural_world.py +
 crawl(fetch_stage=...))."""
@@ -56,9 +56,8 @@ def test_mode_parity_and_seen_arithmetic(ray_session):
     seeds = procedural_seeds(5)
     kw = dict(max_pages=10 ** 9, max_depth=12, round_seconds=None,
               keep_pages=False, n_seen_shards=4, fetch_stage=stage)
-    a = crawl(None, robots, seeds, frontier_mode="driver", **kw)
-    b = crawl(None, robots, seeds, frontier_mode="dataset",
-              rank_assign="distributed", **kw)
+    a = crawl(None, robots, seeds, rank_assign="driver", **kw)
+    b = crawl(None, robots, seeds, rank_assign="distributed", **kw)
     assert _order(a) == _order(b)
     assert np.array_equal(a.seen_snapshot, b.seen_snapshot)
     # every planned page fetched exactly once; ghosts discovered but
@@ -74,8 +73,7 @@ def test_seen_spill_tier_engages(ray_session):
     res = crawl(None, procedural_robots(3), procedural_seeds(3),
                 max_pages=10 ** 9, max_depth=12, round_seconds=None,
                 keep_pages=False, n_seen_shards=4,
-                seen_spill_threshold=50,
-                frontier_mode="dataset", fetch_stage=stage)
+                seen_spill_threshold=50, fetch_stage=stage)
     shards = res.stats["seen_shards"]
     assert sum(s["spilled_keys"] for s in shards) > 0
     assert res.stats["seen"] == stage.total_pages() * 5

@@ -1,10 +1,7 @@
 """Adversarial parity sweep: N random (world, politeness, depth, cap,
-backoff, order, frontier mode, world profile) configurations, engine vs
-oracle, bit-for-bit fetch order + seen set. Run:
-python tools/parity_sweep.py [n_seeds]
-
-Round-1 result: 15/15 OK; round-2 re-run covers frontier_mode="dataset"
-and profile="v2" worlds (see git history)."""
+backoff, order, rank assignment, world profile) configurations, engine
+vs oracle, bit-for-bit fetch order + seen set. Run:
+python tools/parity_sweep.py [n_seeds]"""
 import random
 import sys
 
@@ -28,18 +25,15 @@ def main():
     # Deep-crawl tail (VERDICT r4 #2): graded crawls run <=4 rounds, so
     # the sweep pins many-round behaviour explicitly — tight politeness
     # budgets (rs=1-2 s vs crawl-delay hosts) force 20-75 BFS rounds at
-    # max_depth 8-10 in BOTH frontier modes (reference maxDepth cap is
-    # 10, validator.js:8-9). Measured rounds at these configs: 33/23/76.
+    # max_depth 8-10 (reference maxDepth cap is 10, validator.js:8-9).
+    # Measured rounds at these configs: 33/23/76.
     deep = [
         dict(n_hosts=3, base=60, rs=2.0, md=10, mp=100000, bo=False,
-             order="priority", fm="dataset", profile="v1", skew=0.7,
-             ra="auto"),
+             order="priority", profile="v1", skew=0.7, ra="auto"),
         dict(n_hosts=5, base=40, rs=2.0, md=8, mp=100000, bo=True,
-             order="fifo", fm="dataset", profile="v1", skew=0.7,
-             ra="distributed"),
+             order="fifo", profile="v1", skew=0.7, ra="distributed"),
         dict(n_hosts=2, base=80, rs=1.0, md=10, mp=100000, bo=False,
-             order="priority", fm="driver", profile="v2", skew=0.7,
-             ra="auto"),
+             order="priority", profile="v2", skew=0.7, ra="auto"),
     ]
     for seed in range(100, 100 + n):
         rng = random.Random(seed)
@@ -47,7 +41,6 @@ def main():
                    rs=rng.choice([None, 2.0, 5.0, 13.0]), md=rng.choice([1, 2, 3, 5]),
                    mp=rng.choice([9, 33, 100000]), bo=rng.choice([False, True]),
                    order=rng.choice(["fifo", "priority"]),
-                   fm=rng.choice(["driver", "driver", "dataset"]),
                    profile=rng.choice(["v1", "v1", "v2"]),
                    # hot-host world (one dominant host) + forced
                    # distributed rank assignment in the config space
@@ -67,7 +60,7 @@ def main():
         res = crawl(tbl, robots, seeds, max_pages=cfg["mp"], max_depth=cfg["md"],
                     round_seconds=cfg["rs"], backoff=cfg["bo"], order=cfg["order"],
                     keep_pages=False, n_seen_shards=rng.choice([1, 3, 8]),
-                    frontier_mode=cfg["fm"], rank_assign=cfg["ra"])
+                    rank_assign=cfg["ra"])
         e_order = list(zip(res.visited.column("round").to_pylist(),
                            res.visited.column("discovery_seq").to_pylist(),
                            res.visited.column("url").to_pylist()))

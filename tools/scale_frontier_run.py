@@ -1,5 +1,5 @@
 """Frontier scale demonstration (SURVEY §7.4.5 / VERDICT r4 item 1):
-run the dataset-mode crawl over a PROCEDURAL ~10^7-URL world and measure
+run the crawl over a PROCEDURAL ~10^7-URL world and measure
 what SCALE.md previously only extrapolated.
 
     python tools/scale_frontier_run.py [n_hosts] [base] [cpus]
@@ -13,8 +13,7 @@ scale path at once:
 - rank_assign="distributed": per-round fetch ranks via
   state/distrank.py sample-merge-rank (driver sees samples+counts),
 - visited_spill_dir: the visited table goes to per-round parquet, not
-  driver RAM,
-- frontier_mode="dataset": bucketed object-store frontier.
+  driver RAM.
 
 Reports wall, pages/s, discovered URLs (seen cardinality), peak driver
 RSS, per-tier seen memory, rounds, and the per-round mark_wait profile
@@ -61,7 +60,7 @@ def main():
                 keep_pages=False, n_seen_shards=32,
                 seen_buckets_log2=17,  # ~524k slots/shard for ~320k keys
                 seen_spill_threshold=150_000,
-                frontier_mode="dataset", rank_assign="distributed",
+                rank_assign="distributed",
                 fetch_concurrency=cpus,
                 visited_spill_dir=spill_dir,
                 fetch_stage=stage)

@@ -93,9 +93,13 @@ def oracle_crawl(pages_by_url: dict[str, dict], robots_by_host: dict[str, str],
                  round_seconds: float | None = None, backoff: bool = False,
                  order: str = "fifo"):
     """The round-based crawl spec, sequential. Returns
-    (fetch_order [(round, seq, url)], seen sorted-hash list, stats dict)."""
+    (fetch_order [(round, seq, url)], seen sorted-hash list, stats dict).
+    ``stats["politeness"]`` is the politeness actor's ``get_all_stats``
+    shape: per host, the fetches granted (before the max_pages cap) and
+    the backoff failure counter."""
     rules = {h: RobotsRules(t) for h, t in robots_by_host.items()}
     failures: dict[str, int] = {}
+    granted: dict[str, int] = {}
 
     def budget(host: str) -> int:
         if round_seconds is None:
@@ -149,6 +153,8 @@ def oracle_crawl(pages_by_url: dict[str, dict], robots_by_host: dict[str, str],
                 taken.append(e)
             else:
                 deferred.append(e)
+        for h, n in counts.items():
+            granted[h] = granted.get(h, 0) + n
         # global cap, in seq order
         room = max_pages - n_fetched
         fetch_list = taken[:room]
@@ -182,5 +188,9 @@ def oracle_crawl(pages_by_url: dict[str, dict], robots_by_host: dict[str, str],
             break  # safety: nothing progressed
 
     seen_hashes = sorted(hash64(u) for u in seen)
-    stats = {"fetched": n_fetched, "seen": len(seen), "rounds": rnd + 1}
+    stats = {"fetched": n_fetched, "seen": len(seen), "rounds": rnd + 1,
+             "politeness": {
+                 "totalDomains": len(granted),
+                 "domains": {h: {"requests": n, "failures": failures.get(h, 0)}
+                             for h, n in granted.items()}}}
     return fetch_order, seen_hashes, stats

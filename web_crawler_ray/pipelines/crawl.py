@@ -1,32 +1,27 @@
-"""Round-based BFS crawl frontier on Ray Data (F6/F7/F10/F11/F12/F14).
+"""Round-based BFS crawl frontier on Ray (F6/F7/F10/F11/F12/F14).
 
 The reference's sequential FIFO BFS (site-crawler.service.js:129-194)
-is re-expressed as frontier ROUNDS: each round gates the frontier
-through robots + politeness actors, fetches the granted slice as a Ray
-Dataset ``map_batches`` actor-pool stage, extracts links, and feeds the
-seen-set shards to build the next frontier. Crawl ordering parity with
-the sequential loop comes from ``discovery_seq``: a FIFO BFS queue is
-exactly (depth, discovery_seq) order, so processing rounds in
-discovery_seq order reproduces the reference fetch order bit-for-bit
-(proved against the oracle in tests/test_crawl_parity.py).
+is re-expressed as frontier ROUNDS: each round grants per-host budgets
+from the politeness actor, fetches the granted slice, extracts links,
+and feeds the seen-set shards to build the next frontier. Crawl
+ordering parity with the sequential loop comes from ``discovery_seq``:
+a FIFO BFS queue is exactly (depth, discovery_seq) order, so processing
+rounds in discovery_seq order reproduces the reference fetch order
+bit-for-bit (proved against the oracle in tests/test_crawl_parity.py).
 
 Scale notes (10^10-URL frontier, multi-node):
-- Page CONTENT never touches the driver: fetch → link-extract →
-  extract/spans/write runs as streaming Dataset stages; per-round pages
-  are checkpointed to partitioned parquet (resume = skip complete
-  rounds).
-- Frontier METADATA (url, host, depth, seq — tens of bytes/row) is
-  handled per-round; in this single-node build the round bookkeeping
-  (sort by seq, per-host budget take, seq assignment) runs vectorized
-  on the driver, which holds only the CURRENT round's frontier. At
-  10^10 scale the same three ops are the documented shuffle plan:
-  ``sort(discovery_seq)`` + ``groupby(host).map_groups(head(grant))``
-  + a distributed prefix-sum for seq assignment — all keyed by `host`,
-  the single partitioning key reused across rounds (skew: Zipf hosts
-  are capped per round by the politeness budget itself, which is the
-  natural salt).
-- Seen set / robots / politeness are actor pools; ONE batched RPC per
-  shard per round.
+- Page CONTENT never touches the driver: fetch + link extract run as
+  Ray tasks whose output blocks stay in the object store and are
+  wrapped into a Dataset for the extract/spans/write stages; per-round
+  pages are checkpointed to partitioned parquet (resume = skip
+  complete rounds).
+- The frontier is sharded object-store state: K hash(host) buckets of
+  Arrow tables, gated once at insert time. The driver only sees int
+  order keys per round (or, above ``rank_gather_limit``, per-shard
+  samples and counts — state/distrank.py).
+- Seen set and politeness are actor pools; ONE batched RPC per shard
+  per round. Robots rules are static per crawl and evaluated locally in
+  the tasks against one broadcast copy of the raw robots map.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
 
 import numpy as np
 import pandas as pd
@@ -53,12 +47,24 @@ from ..functions.urltools import (
 from ..state import distrank
 from ..state.placement import spread_opts
 from ..state.politeness import Politeness
-from ..state.robots_cache import RobotsCache
+from ..state.robots_cache import RobotsGate, RobotsIndex, local_check
 from ..state.seen import SeenSet
 from ..stages.extract import extract_hrefs
 
-FRONTIER_COLS = ("url", "url_hash", "host", "path", "depth", "discovery_seq",
-                 "parent_url_hash")
+# Host-hash buckets: the frontier's ONE partitioning key, reused every
+# round, and the page store's shard key, so a per-bucket fetch task pulls
+# only its own shard. The bookkeeping cost scales with K x KU (explode
+# fan-out + reduce fan-in objects), so both are kept small and fixed:
+# measured on a 17.5k-page world @16 cpus, (K,KU)=(16,8) -> 2.0 s,
+# (16,16) -> 2.3 s, (8,8) -> 2.6 s, (32,8) -> 5.7 s. Fetch tasks at
+# ~K-way parallelism are not the round bottleneck (per-page fetch ~1 ms).
+K = 16   # frontier buckets / page-store shards, by hash(host)
+KU = 8   # candidate-shuffle shards, by hash(url)
+
+
+def _bucket_of(hosts) -> np.ndarray:
+    """Frontier bucket / page-store shard index of each host."""
+    return (hash64_many(hosts) % np.uint64(K)).astype(np.int64)
 
 
 def _fast_path(url: str) -> str:
@@ -111,26 +117,21 @@ def _page_store(pages_ref) -> tuple[pa.Table, np.ndarray]:
 @dataclass
 class PageStoreShards:
     """The page store as K host-hash shards in the object store
-    (VERDICT r3 #6): ``refs[hash64(host) % k]`` holds the url_hash-sorted
+    (VERDICT r3 #6): ``refs[hash64(host) % K]`` holds the url_hash-sorted
     pages of that host bucket. One monolithic ``ray.put`` table forces
     every NODE of a real cluster to pull the full store on first fetch;
-    sharded by the SAME host-hash the dataset frontier uses (K=16), a
-    per-bucket fetch task pulls exactly its own shard."""
+    sharded by the SAME host-hash the frontier uses, a per-bucket fetch
+    task pulls exactly its own shard."""
     refs: list
-    k: int
 
 
-def put_page_store(pages_store: pa.Table, k: int = 16) -> PageStoreShards:
+def put_page_store(pages_store: pa.Table) -> PageStoreShards:
     """Split a url_hash-sorted page store into K host-hash shards and put
     each in the object store. Setup work (the store stands in for the
     network) — callers that time the crawl hoist this, like ray.put."""
-    if k <= 1:
-        return PageStoreShards([ray.put(pages_store)], 1)
-    b = (hash64_many(pages_store.column("host").to_pylist())
-         % np.uint64(k)).astype(np.int64)
-    refs = [ray.put(pages_store.filter(pa.array(b == i)))  # filter keeps
-            for i in range(k)]                             # url_hash order
-    return PageStoreShards(refs, k)
+    b = _bucket_of(pages_store.column("host").to_pylist())
+    return PageStoreShards([ray.put(pages_store.filter(pa.array(b == i)))
+                            for i in range(K)])  # filter keeps url_hash order
 
 
 class FetchStage:
@@ -152,16 +153,9 @@ class FetchStage:
         status = np.full(n, 404, dtype=np.int16)
         html = [""] * n
         xhr = [None] * n
-        if self.shards.k > 1:
-            b = (hash64_many(batch.column("host").to_pylist())
-                 % np.uint64(self.shards.k)).astype(np.int64)
-            present = np.unique(b)
-        else:
-            b = None
-            present = np.array([0])
-        for bk in present:
-            idx = np.flatnonzero(b == bk) if b is not None \
-                else np.arange(n, dtype=np.int64)
+        b = _bucket_of(batch.column("host").to_pylist())
+        for bk in np.unique(b):
+            idx = np.flatnonzero(b == bk)
             pages, keys = _page_store(self.shards.refs[bk])
             hh = h[idx]
             if len(keys):
@@ -202,8 +196,8 @@ class HttpFetchStage:
     stdlib urllib — the axios path of the reference
     (professional-crawler.service.js:166, 15 s timeout). Emits the SAME
     schema as the page-store FetchStage (status, html, xhr_json,
-    links_canon, fetch_ok), so every downstream stage and both frontier
-    modes work unchanged; xhr_json is null (no browser — the reference's
+    links_canon, fetch_ok), so the frontier and every downstream stage
+    work unchanged; xhr_json is null (no browser — the reference's
     Puppeteer/Playwright XHR capture is a browser-pool analogue).
     Status semantics (ADVICE r3): any HTTP response records its real
     status code — 4xx/5xx come back as HTTPError and are recorded as
@@ -284,28 +278,15 @@ class CrawlResult:
 
 
 # ---------------------------------------------------------------------------
-# Distributed frontier (frontier_mode="dataset"): the frontier is SHARDED
-# STATE in the object store — K host-hash buckets of Arrow tables, each
-# depth+robots-gated at insert time and sorted by the round order — and
-# the per-page work (fetch + link extract) is the round's one Ray Data
-# job. Round bookkeeping (mark granted rows, rank, candidate dedup/seen
-# gate, frontier merge) runs as small Ray tasks over the bucket refs:
-# the Dataset executor's fixed per-job cost (~0.3-0.5 s x 9 jobs/round in
-# the previous all-Dataset form) measured 17x slower than the driver loop
-# at bench scale, while this shape is within 1.5x. Parity-tested
-# bit-for-bit against the driver form (tests/test_crawl_parity.py).
+# The frontier is SHARDED STATE in the object store — K host-hash buckets
+# of Arrow tables, each depth+robots-gated at insert time — and the
+# per-page work (fetch + link extract) is one Ray task per bucket slice.
+# Round bookkeeping (mark granted rows, rank, candidate dedup/seen gate,
+# frontier merge) runs as small Ray tasks over the bucket refs: the
+# Dataset executor's fixed per-job cost (~0.3-0.5 s x 9 jobs/round in an
+# earlier all-Dataset form) measured 17x slower at bench scale.
+# Parity-tested bit-for-bit against the oracle (tests/test_crawl_parity.py).
 # ---------------------------------------------------------------------------
-
-
-def _robots_check(robots, hosts: list[str], paths: list[str]) -> list[bool]:
-    """Gate helper for the bucket tasks: ``robots`` is either a broadcast
-    ``ray.put(robots_by_host)`` ref (static-rule crawl — evaluate locally,
-    no actor round-trip) or the RobotsCache actor handle (live-fetch
-    deployments)."""
-    from ..state.robots_cache import RobotsGate, local_check
-    if isinstance(robots, RobotsGate):
-        return local_check(robots.ref, hosts, paths)
-    return ray.get(robots.check.remote(hosts, paths))
 
 
 @ray.remote(num_cpus=0)
@@ -315,7 +296,7 @@ class _Keeper:
     The bookkeeping callables (_prep_bucket/_mark_bucket/_finish_taken/
     _finish_fresh) are tiny int-key kernels, but as 0-cpu TASKS they
     stalled the round critical path whenever the cluster was saturated
-    by the overlapped extract stage: Ray reaps idle workers beyond
+    by concurrent extract tasks: Ray reaps idle workers beyond
     num_cpus, so each round's batch of tiny tasks re-paid worker spawn
     + package import on a busy node — measured 1.6 s (bare fn) to
     6.7 s (package import) for 16 such tasks at 32 busy cpus, vs
@@ -352,7 +333,7 @@ def _keeper_pool(k: int) -> list:
     return pool
 
 
-def _prep_bucket(tbl: pa.Table, robots, max_depth: int):
+def _prep_bucket(tbl: pa.Table, robots: RobotsGate, max_depth: int):
     """Gate (depth + robots, once per URL — both are static per crawl)
     one frontier bucket. Returns (gated table, per-host counts) in
     arrival order — buckets are unordered parts; _mark_bucket orders by
@@ -360,8 +341,8 @@ def _prep_bucket(tbl: pa.Table, robots, max_depth: int):
     candidates are gated by _reduce_candidates as they enter."""
     tbl = tbl.filter(pc.less_equal(tbl.column("depth"), max_depth))
     if tbl.num_rows:
-        tbl = tbl.filter(pa.array(_robots_check(
-            robots, tbl.column("host").to_pylist(),
+        tbl = tbl.filter(pa.array(local_check(
+            robots.ref, tbl.column("host").to_pylist(),
             tbl.column("path").to_pylist())))
     hosts, counts = np.unique(np.asarray(tbl.column("host")), return_counts=True)
     return tbl, {str(h): int(c) for h, c in zip(hosts, counts)}
@@ -483,28 +464,32 @@ def _fetch_block(stage, tbl: pa.Table, meta_cols: tuple,
     return out, out.select(list(meta_cols))
 
 
-@ray.remote
-def _explode_bucketed(tbl: pa.Table, k: int):
+@ray.remote(num_returns=KU)
+def _explode_bucketed(tbl: pa.Table):
     """Map side of the candidate shuffle: explode one fetched block's
-    links and partition by hash(url) into k shards (num_returns=k set at
-    the call site) — same url always lands in the same reduce task."""
+    links and partition by hash(url) into KU shards — same url always
+    lands in the same reduce task."""
     cand = _explode_links_batch(tbl)
     h = hash64_many(cand.column("url").to_pylist())
     cand = cand.append_column("url_hash", pa.array(h, pa.uint64()))
-    b = (h % np.uint64(k)).astype(np.int64)
-    out = tuple(cand.filter(pa.array(b == i)) for i in range(k))
-    return out if k > 1 else out[0]
+    b = (h % np.uint64(KU)).astype(np.int64)
+    return tuple(cand.filter(pa.array(b == i)) for i in range(KU))
 
 
-@ray.remote(num_cpus=1, num_returns=3)
-def _reduce_candidates(shards, robots, max_depth: int, want_hashes: bool,
-                       remote_keys: bool, *pieces: pa.Table):
+@ray.remote(num_cpus=1, num_returns=3, max_retries=0)
+def _reduce_candidates(shards, robots: RobotsGate, max_depth: int,
+                       want_hashes: bool, remote_keys: bool,
+                       *pieces: pa.Table):
     """Reduce side of the candidate shuffle, one url shard per task:
     in-round first-seen dedup (order: parent fetch rank, link position)
     -> seen-shard check_and_add (cross-task urls are disjoint by the url
     partitioning, so shard results are arrival-order independent) ->
     depth + robots gate (insert-time gating; gated-out rows still consume
-    their discovery_seq, matching the driver loop, via the __gated mask).
+    their discovery_seq, matching the oracle's numbering, via the
+    __gated mask). NOT idempotent: check_and_add inserts as it tests, so
+    a re-run on the same pieces against the same shards returns no fresh
+    rows. Hence max_retries=0 — a worker death fails the crawl loudly
+    instead of silently dropping urls.
     Returns (fresh candidate table incl. __gated, info, keys) where info
     holds the fresh rows' order keys (ints), the gated rows' per-host
     counts, and — only when checkpointing — the fresh url hashes. With
@@ -530,8 +515,8 @@ def _reduce_candidates(shards, robots, max_depth: int, want_hashes: bool,
     gated = t.column("depth").to_numpy() <= max_depth
     if gated.any():
         paths = [_fast_path(u) for u in t.column("url").to_pylist()]
-        allowed = np.asarray(_robots_check(
-            robots, t.column("host").to_pylist(), paths))
+        allowed = np.asarray(local_check(
+            robots.ref, t.column("host").to_pylist(), paths))
         gated = gated & allowed
     t = t.append_column("__gated", pa.array(gated, pa.bool_()))
     gh, gc = np.unique(np.asarray(t.filter(pa.array(gated)).column("host")),
@@ -561,11 +546,11 @@ def _reduce_candidates(shards, robots, max_depth: int, want_hashes: bool,
     return t, info, None
 
 
-def _finish_fresh(tbl: pa.Table, k: int, *seq_parts):
+def _finish_fresh(tbl: pa.Table, *seq_parts):
     """Append the driver-assigned discovery_seqs (covering gated-out rows
-    too — they consume seqs, as in the driver loop), drop gated-out rows,
-    build frontier-schema columns, and partition by hash(host) into the k
-    frontier buckets (num_returns=k at the call site). ``seq_parts`` is
+    too — they consume seqs, as in the oracle), drop gated-out rows,
+    build frontier-schema columns, and partition by hash(host) into the K
+    frontier buckets (num_returns=K at the call site). ``seq_parts`` is
     one driver-built array or this shard's distrank range slices in
     range order (= the shard's sorted (parent_rank, link_idx) order)."""
     seqs = (np.concatenate([np.asarray(p) for p in seq_parts])
@@ -583,14 +568,12 @@ def _finish_fresh(tbl: pa.Table, k: int, *seq_parts):
         "priority": pa.array([priority_tier(u) for u in urls], pa.int8()),
         "parent_url_hash": tbl.column("parent_url_hash"),
     })
-    hosts = fr.column("host").to_pylist()
-    b = (hash64_many(hosts) % np.uint64(k)).astype(np.int64)
-    out = tuple(fr.filter(pa.array(b == i)) for i in range(k))
-    return out if k > 1 else out[0]
+    b = _bucket_of(fr.column("host").to_pylist())
+    return tuple(fr.filter(pa.array(b == i)) for i in range(K))
 
 
 def _explode_links_batch(batch: pa.Table) -> pa.Table:
-    """Vectorized link explode for the dataset-mode next-frontier build:
+    """Vectorized link explode for the next-frontier build:
     one output row per (page, link) with the page's provenance."""
     lc = batch.column("links_canon")
     lc = lc.combine_chunks() if isinstance(lc, pa.ChunkedArray) else lc
@@ -628,7 +611,7 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
           resume_from: str | None = None,
           backoff: bool = False,
           order: str = "fifo",
-          frontier_mode: str = "driver",
+          frontier_mode: str = "dataset",
           seen_spill_threshold: int | None = None,
           fetcher: str = "pagestore",
           fetch_timeout: float = 15.0,
@@ -639,15 +622,13 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
           fetch_stage=None,
           seen_buckets_log2: int = 14) -> CrawlResult:
     """Run the round-based BFS. ``pages_store`` must be sorted by url_hash
-    (pass ``None`` with ``fetcher="http"``).
+    (pass ``None`` with ``fetcher="http"``); a ``PageStoreShards`` from
+    ``put_page_store`` is used as is, a plain table is sharded here.
 
-    ``page_hook``: optional callable invoked once per round with that
-    round's fetched-pages Dataset (blocks already in the object store),
-    BEFORE the next round starts. Lets downstream per-page work (e.g.
-    extraction submitted as Ray tasks on the block refs) OVERLAP the
-    remaining crawl rounds instead of waiting behind the crawl barrier —
-    the flagship's streaming-extraction mode (pipelines/flagship.py
-    ``run_flagship(overlap_extract=True)``) uses this.
+    ``page_hook``: optional object whose ``consume_refs(refs)`` is called
+    once per fetching round with that round's raw fetched-block refs
+    (ObjectRefs of page tables, submitted but not awaited), before the
+    driver waits on the round's fetches.
 
     ``fetcher``: ``"pagestore"`` (default) joins the synthetic page store
     — the sandbox stand-in for the network; ``"http"`` performs real
@@ -692,35 +673,29 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
     (read lazily with ray.data.read_parquet; identical rows — asserted
     in tests).
 
-    ``rank_assign`` (``frontier_mode="dataset"`` only): how per-round
-    global fetch ranks / discovery_seqs are assigned. ``"auto"``
-    (default) gathers per-bucket int order keys to the driver below
-    ``rank_gather_limit`` rows/round and switches to the distributed
-    sample-merge-rank (state/distrank.py — driver sees samples + counts
-    only) above it; ``"driver"`` / ``"distributed"`` force a path. Both
-    paths are bit-for-bit identical (parity-tested).
+    ``rank_assign``: how per-round global fetch ranks / discovery_seqs
+    are assigned. ``"auto"`` (default) gathers per-bucket int order
+    keys to the driver below ``rank_gather_limit`` rows/round and
+    switches to the distributed sample-merge-rank (state/distrank.py —
+    driver sees samples + counts only) above it; ``"driver"`` /
+    ``"distributed"`` force a path. Both paths are bit-for-bit
+    identical (parity-tested).
     """
-    # pages_store may be a PageStoreShards (put_page_store — the sharded
-    # production shape), a pre-put ObjectRef (legacy monolith, kept as a
-    # single shard without a driver-side get), or a plain table (sharded
-    # here; the upload is world SETUP — the network stand-in — not crawl
-    # work, so callers that time the crawl hoist put_page_store)
-    if fetch_stage is not None:
-        # caller-supplied fetch stage (same output schema contract as
-        # FetchStage: status/html/xhr_json/links_canon/fetch_ok) — e.g.
-        # sources/procedural_world.ProceduralFetchStage, the storage-free
-        # network-as-a-function used for frontier-scale demos
-        pass
-    elif fetcher == "http":
-        fetch_stage = HttpFetchStage(fetch_timeout)
-    elif isinstance(pages_store, PageStoreShards):
-        fetch_stage = FetchStage(pages_store)
-    elif isinstance(pages_store, ray.ObjectRef):
-        fetch_stage = FetchStage(PageStoreShards([pages_store], 1))
-    else:
-        fetch_stage = FetchStage(put_page_store(pages_store))
-    robots = RobotsCache.options(**spread_opts(num_cpus=0.1)) \
-        .remote(robots_by_host)
+    if frontier_mode != "dataset":
+        raise ValueError(f"frontier_mode={frontier_mode!r}: the only "
+                         "frontier is 'dataset'")
+    if fetch_stage is None:
+        # a caller-supplied stage follows FetchStage's output schema
+        # (status/html/xhr_json/links_canon/fetch_ok) — e.g.
+        # sources/procedural_world.ProceduralFetchStage
+        if fetcher == "http":
+            fetch_stage = HttpFetchStage(fetch_timeout)
+        else:
+            # the upload is world SETUP (the network stand-in), not
+            # crawl work: callers that time the crawl hoist it
+            if not isinstance(pages_store, PageStoreShards):
+                pages_store = put_page_store(pages_store)
+            fetch_stage = FetchStage(pages_store)
     # size the per-shard cuckoo for expected keys/shard: capacity is
     # 4 * 2^seen_buckets_log2 slots at ~95% load; an UNDERSIZED filter
     # degrades every insert into the max-kick loop + overflow set (a
@@ -730,6 +705,10 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
                    spill_threshold=seen_spill_threshold)
     politeness = Politeness.options(**spread_opts(num_cpus=0.1)).remote(
         round_seconds if round_seconds is not None else float("inf"))
+    # robots rules are static per crawl: every explicit crawl-delay is
+    # installed up front (hosts without one use the politeness default)
+    politeness.set_delays.remote(
+        RobotsIndex(robots_by_host).delays(list(robots_by_host)))
 
     info = resume_info(resume_from) if resume_from else None
     round_delta: list[np.ndarray] = []  # hashes newly seen this round (checkpoint delta)
@@ -745,7 +724,6 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
             # checkpoints always persist next_seq in metrics.json)
             seqs = frontier.column("discovery_seq")
             next_seq = int(pc.max(seqs).as_py()) + 1 if frontier.num_rows else 0
-        s_hosts = frontier.column("host").to_pylist()
     else:
         # seed the frontier (enqueue-time seen insertion, reference :136).
         # First-seen dedup of the canonical seeds BEFORE hashing: the seen
@@ -770,227 +748,17 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
         rnd = 0
         round_delta.append(s_hashes[keep])  # seeds enter the round-0 delta
 
-    # install explicit robots crawl-delays into the politeness buckets
-    all_hosts = sorted(set(s_hosts))
-    ray.get(politeness.set_delays.remote(ray.get(robots.delays.remote(all_hosts))))
-    delays_known: set[str] = set(all_hosts)
+    # Insert-time robots gating evaluates LOCALLY in the prep/reduce
+    # tasks against one broadcast of the raw robots map — a single
+    # robots actor's check RPC serialized the KU parallel reduce tasks
+    # every round (robots_cache.local_check; decisions bit-identical)
+    return _crawl_rounds_dataset(
+        fetch_stage, RobotsGate(ray.put(robots_by_host)), seen, politeness,
+        frontier, next_seq, n_fetched, rnd, round_delta, max_pages,
+        max_depth, checkpoint_dir, keep_pages, backoff, order, page_hook,
+        fetch_concurrency, visited_spill_dir, rank_assign,
+        rank_gather_limit)
 
-    if frontier_mode == "dataset":
-        return _crawl_rounds_dataset(
-            fetch_stage, robots, seen, politeness, frontier, next_seq,
-            n_fetched, rnd, round_delta, delays_known, max_pages, max_depth,
-            checkpoint_dir, keep_pages, backoff, order, page_hook,
-            fetch_concurrency, visited_spill_dir, rank_assign,
-            rank_gather_limit, robots_raw=robots_by_host)
-
-    visited_parts: list[pa.Table] = []
-    page_datasets: list[rd.Dataset] = []
-    metrics: list[dict] = []
-    max_rounds = rnd + 10_000
-
-    # Insert-time gating (round-3 fixed-cost cut, mirrors dataset mode):
-    # depth and robots are STATIC per crawl, so each URL is gated ONCE —
-    # the initial/resumed frontier here, discovered candidates at
-    # frontier-append below. This removes the per-round whole-frontier
-    # robots RPC + re-filtering that dominated the fixed driver cost.
-    # Gated-out rows are already in the seen set, exactly as before.
-    if frontier.num_rows:
-        frontier = frontier.filter(
-            pc.less_equal(frontier.column("depth"), max_depth))
-    if frontier.num_rows:
-        allowed = ray.get(robots.check.remote(
-            frontier.column("host").to_pylist(),
-            frontier.column("path").to_pylist()))
-        frontier = frontier.filter(pa.array(allowed))
-
-    while frontier.num_rows and n_fetched < max_pages and rnd < max_rounds:
-        rows_in = frontier.num_rows
-        if order == "priority":
-            active = frontier.sort_by([("priority", "ascending"),
-                                       ("discovery_seq", "ascending")])
-        else:
-            active = frontier.sort_by("discovery_seq")
-
-        # politeness: per-host grant, take first g per host in seq order
-        hosts_l = active.column("host").to_pylist()
-        counts: dict[str, int] = {}
-        for h in hosts_l:
-            counts[h] = counts.get(h, 0) + 1
-        grant = ray.get(politeness.grant.remote(counts))
-        taken_mask = np.zeros(active.num_rows, dtype=bool)
-        used: dict[str, int] = {}
-        for i, h in enumerate(hosts_l):
-            u = used.get(h, 0)
-            if u < grant.get(h, 0):
-                used[h] = u + 1
-                taken_mask[i] = True
-        fetch_tbl = active.filter(pa.array(taken_mask))
-        deferred = active.filter(pa.array(~taken_mask))
-
-        # global cap in seq order; the sliced-off remainder goes back to the
-        # deferred frontier so a checkpoint written this round is complete
-        # for resume (the capped run itself never fetches them)
-        room = max_pages - n_fetched
-        if fetch_tbl.num_rows > room:
-            overflow = fetch_tbl.slice(room)
-            fetch_tbl = fetch_tbl.slice(0, room)
-            deferred = (pa.concat_tables([deferred, overflow])
-                        if deferred.num_rows else overflow)
-        if fetch_tbl.num_rows == 0:
-            break
-        fetch_tbl = fetch_tbl.append_column(
-            "fetch_rank", pa.array(np.arange(fetch_tbl.num_rows), pa.int64()))
-
-        # --- the distributed part: fetch + link-extract as Dataset stages ---
-        # blocks sized ~192 pages: small enough to balance the downstream
-        # extract stage (its per-page cost dwarfs fetch), large enough to
-        # amortize task dispatch. fetch_concurrency bounds the round's task
-        # fan-out (the production knob: HTTP/browser pool size), results are
-        # identical at any value (determinism test).
-        n_blocks = max(1, min(max(16, fetch_concurrency * 8),
-                              fetch_tbl.num_rows // 192 + 1))
-        step = -(-fetch_tbl.num_rows // n_blocks)
-        pairs = [_fetch_block.remote(
-                     fetch_stage, fetch_tbl.slice(s, step),
-                     ("host", "depth", "fetch_rank", "fetch_ok",
-                      "links_canon"))
-                 for s in range(0, fetch_tbl.num_rows, step)]
-        # link metadata only (html stays in the object store) comes back
-        # as the fetch tasks' second return — no executor jobs and no
-        # extra projection tasks in the round loop (round-3 fixed-cost
-        # cut); vectorized explode: list_flatten + list_parent_indices
-        meta_parts = ray.get([p[1] for p in pairs])
-        ds = rd.from_arrow_refs([p[0] for p in pairs])  # blocks already pinned
-        meta = pa.concat_tables(meta_parts).combine_chunks() if meta_parts else None
-        if backoff and meta is not None:
-            import collections
-            ok_arr = meta.column("fetch_ok").to_numpy(zero_copy_only=False)
-            host_arr = meta.column("host").to_pylist()
-            fails = collections.Counter(h for h, ok in zip(host_arr, ok_arr) if not ok)
-            ok_hosts = {h for h, ok in zip(host_arr, ok_arr) if ok}
-            calls = [politeness.record_failure.remote(h, n) for h, n in fails.items()]
-            calls += [politeness.record_success.remote(h) for h in ok_hosts - set(fails)]
-            if calls:
-                ray.get(calls)
-        links_tbl = None
-        if meta is not None and meta.num_rows:
-            lc = meta.column("links_canon")
-            lc = lc.combine_chunks() if isinstance(lc, pa.ChunkedArray) else lc
-            flat = pc.list_flatten(lc)
-            if len(flat):
-                parents = pc.list_parent_indices(lc)
-                lens = pc.list_value_length(lc).to_numpy(zero_copy_only=False).astype(np.int64)
-                starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-                link_idx = np.arange(int(lens.sum()), dtype=np.int32) -                     np.repeat(starts, lens).astype(np.int64)
-                links_tbl = pa.table({
-                    "url": flat,
-                    "host": pc.take(meta.column("host"), parents),
-                    "depth": pc.add(pc.take(meta.column("depth"), parents), 1),
-                    "parent_rank": pc.take(meta.column("fetch_rank"), parents),
-                    "link_idx": pa.array(link_idx, pa.int32()),
-                })
-
-        if checkpoint_dir:
-            ds.write_parquet(os.path.join(checkpoint_dir, f"round={rnd}", "pages"))
-        if keep_pages:
-            page_datasets.append(ds)
-        if page_hook is not None:
-            page_hook(ds)
-
-        round_visited = pa.table({
-            "round": pa.array([rnd] * fetch_tbl.num_rows, pa.int32()),
-            "discovery_seq": fetch_tbl.column("discovery_seq"),
-            "url": fetch_tbl.column("url"),
-            "host": fetch_tbl.column("host"),
-            "depth": fetch_tbl.column("depth"),
-            "parent_url_hash": fetch_tbl.column("parent_url_hash"),
-        })
-        if visited_spill_dir:
-            _spill_visited(visited_spill_dir, rnd, round_visited)
-        else:
-            visited_parts.append(round_visited)
-        n_fetched += fetch_tbl.num_rows
-
-        # --- next frontier: dedup in-round, seen-filter, assign seqs ---
-        # Runs even when the cap was just reached: the reference enqueues the
-        # final fetched pages' links into allDiscoveredUrls BEFORE the loop
-        # exits (site-crawler.service.js:163-168 runs for page #maxPages) —
-        # the seen set must include them for bit-for-bit parity.
-        new_frontier = deferred
-        if links_tbl is not None:
-            lt = links_tbl.sort_by([("parent_rank", "ascending"),
-                                    ("link_idx", "ascending")])
-            # in-round first-seen dedup, vectorized (stable keep="first")
-            dfu = lt.column("url").to_pandas()
-            lt = lt.take(pa.array(np.flatnonzero(~dfu.duplicated().to_numpy())))
-            cand_urls = lt.column("url").to_pylist()
-            cand_hashes = hash64_many(cand_urls)
-            fresh = seen.check_and_add(cand_hashes)  # one RPC per shard
-            ix = np.flatnonzero(fresh)
-            if checkpoint_dir and len(ix):
-                round_delta.append(cand_hashes[ix])
-            if len(ix):
-                lt2 = lt.take(pa.array(ix))
-                seqs = list(range(next_seq, next_seq + lt2.num_rows))
-                next_seq += lt2.num_rows
-                # lineage: parent_url_hash = hash of the fetching page
-                fetched_hashes = fetch_tbl.column("url_hash").to_numpy()
-                parents = fetched_hashes[lt2.column("parent_rank").to_numpy()]
-                add = _frontier_table(lt2.column("url").to_pylist(),
-                                      lt2.column("host").to_pylist(),
-                                      lt2.column("depth").to_pylist(), seqs,
-                                      parent_hashes=parents)
-                # insert-time gate for the new candidates (seqs above were
-                # assigned PRE-gate: gated-out rows consume theirs, the
-                # reference numbering); delays installed for any host that
-                # might survive, before its first grant
-                add = add.filter(pc.less_equal(add.column("depth"), max_depth))
-                if add.num_rows:
-                    a_hosts = add.column("host").to_pylist()
-                    new_hosts = sorted(set(a_hosts) - delays_known)
-                    if new_hosts:
-                        ray.get(politeness.set_delays.remote(
-                            ray.get(robots.delays.remote(new_hosts))))
-                        delays_known.update(new_hosts)
-                    allowed = ray.get(robots.check.remote(
-                        a_hosts, add.column("path").to_pylist()))
-                    add = add.filter(pa.array(allowed))
-                new_frontier = pa.concat_tables([deferred, add]) if deferred.num_rows else add
-        frontier = new_frontier
-
-        per_host = _host_counts(fetch_tbl.column("host"))
-        metrics.append({"round": rnd, "stage": "fetch", "rows_in": rows_in,
-                        "rows_out": int(fetch_tbl.num_rows),
-                        "frontier_next": int(frontier.num_rows),
-                        "seen": seen.cardinality(),
-                        "n_hosts": len(per_host),
-                        "next_seq": next_seq,  # persisted for exact resume
-                        "per_host": per_host})  # per-partition lineage (host = partition key)
-        if checkpoint_dir:
-            delta = (np.sort(np.concatenate(round_delta)) if round_delta
-                     else np.zeros(0, np.uint64))
-            _write_checkpoint(checkpoint_dir, rnd, frontier, round_visited,
-                              delta, metrics[-1])
-            round_delta = []
-        rnd += 1
-
-    visited = (pa.concat_tables(visited_parts) if visited_parts
-               else _EMPTY_VISITED)
-    pages = None
-    if keep_pages and page_datasets:
-        pages = page_datasets[0]
-        for d in page_datasets[1:]:
-            pages = pages.union(d)
-    stats = {"fetched": n_fetched, "rounds": rnd, "seen": seen.cardinality(),
-             "seen_shards": seen.memory_stats(),
-             "politeness": ray.get(politeness.get_all_stats.remote())}
-    return CrawlResult(visited=visited, pages=pages,
-                       seen_snapshot=seen.snapshot(), stats=stats,
-                       metrics=metrics, visited_dir=visited_spill_dir)
-
-
-_FR_COLS = ["url", "url_hash", "host", "path", "depth", "discovery_seq",
-            "priority", "parent_url_hash"]
 
 _EMPTY_VISITED = pa.table({"round": pa.array([], pa.int32()),
                            "discovery_seq": pa.array([], pa.int64()),
@@ -1001,7 +769,6 @@ _EMPTY_VISITED = pa.table({"round": pa.array([], pa.int32()),
 
 
 def _spill_visited(d: str, rnd: int, tbl: pa.Table) -> None:
-    import pyarrow.parquet as pq
     os.makedirs(d, exist_ok=True)
     pq.write_table(tbl, os.path.join(d, f"round={rnd:06d}.parquet"))
 
@@ -1015,25 +782,23 @@ def _host_counts(arr) -> dict:
                                       vc.field("counts").to_pylist())}
 
 
-def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
+def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
                           frontier_tbl: pa.Table, next_seq: int,
                           n_fetched: int, rnd: int, round_delta: list,
-                          delays_known: set, max_pages: int, max_depth: int,
+                          max_pages: int, max_depth: int,
                           checkpoint_dir: str | None, keep_pages: bool,
-                          backoff: bool, order: str,
-                          page_hook=None,
-                          fetch_concurrency: int = 4,
-                          visited_spill_dir: str | None = None,
-                          rank_assign: str = "auto",
-                          rank_gather_limit: int = 4_000_000,
-                          robots_raw: dict | None = None) -> CrawlResult:
-    """frontier_mode="dataset": the frontier is sharded object-store
+                          backoff: bool, order: str, page_hook,
+                          fetch_concurrency: int,
+                          visited_spill_dir: str | None,
+                          rank_assign: str,
+                          rank_gather_limit: int) -> CrawlResult:
+    """The crawl's round loop. The frontier is sharded object-store
     state — K hash(host) buckets of Arrow tables, gated (depth + robots,
     both static per crawl) ONCE at insert time and kept as UNORDERED
     concat parts (prev rest + per-round gated-in candidates; zero-copy)
-    — while the round's heavy work (fetch + link extract) is its single
-    Ray Data job. Bookkeeping runs as small Ray tasks over the bucket
-    refs:
+    — while the round's heavy work (fetch + link extract) runs as one
+    Ray task per bucket slice. Bookkeeping runs as small Ray tasks over
+    the bucket refs:
 
     - mark: per bucket, take the granted per-host prefix in round order
       by argsorting the int ORDER KEYS only (groupby-cumcount over the
@@ -1044,11 +809,10 @@ def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
     - rank / seq assignment: per-bucket ORDER KEYS (ints only — never
       urls/html) are gathered to the driver, argsorted, and the ranks
       shipped back per bucket. O(round x ~12 B) driver traffic — the
-      same O(round-metadata) class as the visited collection both modes
-      already do. (The previous all-Dataset form used a distributed
-      sort + prefix-sum here; its 2 extra all-to-all jobs per round —
-      of ~9 executor jobs total — measured 17x slower than the driver
-      loop at bench scale, see git history.)  Above ``rank_gather_limit``
+      same O(round-metadata) class as the visited collection. (An
+      earlier all-Dataset form used a distributed sort + prefix-sum
+      here; its 2 extra all-to-all jobs per round measured 17x slower
+      at bench scale, see git history.) Above ``rank_gather_limit``
       rows (or with ``rank_assign="distributed"``) even the int-key
       gather is skipped: state/distrank.py assigns identical ranks by a
       sample-merge-rank (driver sees per-shard samples + counts only —
@@ -1059,71 +823,46 @@ def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
       dedup, the seen-shard check_and_add (cross-shard urls are
       disjoint, so shard results are arrival-order independent), and the
       insert-time gate. Gated-OUT rows still consume discovery_seqs —
-      exactly the driver loop's numbering, where gates re-run at round
-      start instead.
+      exactly the oracle's numbering, where gates run at round start.
     - per-host frontier counts are maintained incrementally driver-side
       (minus taken, plus cap overflow, plus gated-in candidates), so no
       counting pass touches the frontier.
 
-    Bit-for-bit parity with frontier_mode="driver" (and therefore with
-    the reference oracle) is asserted in tests/test_crawl_parity.py for
-    fifo + priority orders, budgets, caps and backoff; checkpoints are
-    cross-mode compatible (dataset-mode checkpoints exclude gated-out
-    rows, which either mode would re-drop on resume).
+    Bit-for-bit parity with the reference oracle is asserted in
+    tests/test_crawl_parity.py for fifo + priority orders, budgets, caps
+    and backoff; checkpoints exclude gated-out rows, which resume would
+    re-drop anyway.
 
-    Note on the seen gate: check_and_add both tests AND inserts, so each
-    reduce task runs exactly once per round (plain ray.get, no
-    speculative retries). A production deploy with task retries would
-    split this into contains-filter + insert-after-commit."""
+    The seen gate is the one non-idempotent step: check_and_add both
+    tests AND inserts, so _reduce_candidates runs with max_retries=0 and
+    a worker death fails the crawl. Retry-safe rounds need a
+    contains-filter + insert-after-commit split."""
     visited_parts: list[pa.Table] = []
     page_datasets: list[rd.Dataset] = []
     metrics: list[dict] = []
     max_rounds = rnd + 10_000
     order_cols = (["priority", "discovery_seq"] if order == "priority"
                   else ["discovery_seq"])
-    oc = tuple(order_cols)
-    # Host buckets (the ONE partitioning key, reused every round) double
-    # as the fetch job's block granularity. The bookkeeping cost scales
-    # with K x KU (explode fan-out + reduce fan-in objects), so both are
-    # kept small and fixed: measured on a 17.5k-page world @16 cpus,
-    # (K,KU)=(16,8) -> 2.0 s, (16,16) -> 2.3 s, (8,8) -> 2.6 s,
-    # (32,8) -> 5.7 s, vs 2.5 s driver mode. Fetch tasks at ~K-way
-    # parallelism are not the round bottleneck (per-page fetch ~1 ms).
-    K = 16
-    KU = 8
     # fetch slices per bucket: don't cap the fetch wave at K-way when
     # the cluster is wider (bucket count stays K — state layout and
     # bookkeeping fan-out are unchanged)
     FP = max(1, -(-fetch_concurrency // K))
-
-    # Insert-time robots gating evaluates LOCALLY in the prep/reduce
-    # tasks against a broadcast of the (static-per-crawl) raw robots map
-    # — the single-actor check RPC otherwise serializes the KU parallel
-    # reduce tasks every round (robots_cache.local_check; decisions
-    # bit-identical). The actor still serves crawl-delays (small,
-    # driver-paced).
-    from ..state.robots_cache import RobotsGate
-    gate = (RobotsGate(ray.put(robots_raw)) if robots_raw is not None
-            else robots)
 
     # warm bookkeeping actors (one per bucket; see _Keeper)
     keepers = _keeper_pool(K)
 
     # initial bucket split + insert-time gate (seeds / resumed frontier)
     bucket_parts: list[list] = [[] for _ in range(K)]
+    counts: dict[str, int] = {}
     if frontier_tbl.num_rows:
-        hb = (hash64_many(frontier_tbl.column("host").to_pylist())
-              % np.uint64(K)).astype(np.int64)
+        hb = _bucket_of(frontier_tbl.column("host").to_pylist())
         prep = [keepers[i].run.options(num_returns=2).remote(
                     _prep_bucket, frontier_tbl.filter(pa.array(hb == i)),
                     gate, max_depth) for i in range(K)]
         bucket_parts = [[p[0]] for p in prep]
-        counts: dict[str, int] = {}
         for d in ray.get([p[1] for p in prep]):
             for h, c in d.items():
                 counts[h] = counts.get(h, 0) + c
-    else:
-        counts = {}
 
     # driver-phase wall-time accounting (exposed as
     # stats["driver_phases"]): where the parallelism-INDEPENDENT time
@@ -1152,11 +891,6 @@ def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
         dist_taken = (rank_assign == "distributed" or
                       (rank_assign == "auto" and est_taken > rank_gather_limit))
         _ph("grant")
-        if os.environ.get("GRAFT_PHASE_SYNC"):  # diagnosis only: split
-            flat = [r for parts in bucket_parts for r in parts]
-            if flat:
-                ray.wait(flat, num_returns=len(flat))
-            _ph("bucket_wait")
         marks = [keepers[i].run.options(num_returns=4).remote(
                      _mark_bucket, grant_ref, order == "priority",
                      dist_taken, *bucket_parts[i])
@@ -1222,13 +956,8 @@ def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
 
         # --- candidate shuffle submitted BEFORE the page hook: its
         # explode/reduce tasks are the next round's critical path, and
-        # submission order is scheduling order among ready tasks — hook
-        # extract tasks otherwise queue a full round of work ahead of
-        # the frontier bookkeeping (priority inversion) ---
-        parts = [_explode_bucketed.options(num_returns=KU).remote(r, KU)
-                 for r in fetched_refs]
-        if KU == 1:
-            parts = [[p] for p in parts]
+        # submission order is scheduling order among ready tasks ---
+        parts = [_explode_bucketed.remote(r) for r in fetched_refs]
         # fresh-seq path choice at submit time: candidate volume is
         # unknown until reduce, so estimate pages x a generous links/page
         dist_fresh = (rank_assign == "distributed" or
@@ -1242,14 +971,7 @@ def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
 
         _ph("submit")
         if page_hook is not None:
-            cr = getattr(page_hook, "consume_refs", None)
-            if cr is not None:
-                # raw refs: non-blocking, so hook tasks become runnable
-                # per fetch block instead of after the whole round's
-                # fetch metadata resolves (from_arrow_refs waits on it)
-                cr(list(fetched_refs))
-            else:
-                page_hook(rd.from_arrow_refs(fetched_refs))
+            page_hook.consume_refs(list(fetched_refs))
         _ph("hook")
         # visited METADATA, ordered by fetch_rank (= round fetch order)
         meta_parts = ray.get([p[1] for p in fpairs])
@@ -1301,12 +1023,11 @@ def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
         add_per_bucket: list[list] = [[] for _ in range(K)]
         if n_fresh:
             if dist_fresh:
-                seq_parts = distrank.assign_ranks(
+                per_shard_parts = distrank.assign_ranks(
                     [r[2] for r in reduces],
                     [i["sample"] if i else None for i in rinfo],
                     n_fresh, base=next_seq)
                 next_seq += n_fresh
-                per_shard_parts = seq_parts
             else:
                 rk = [np.asarray(i["rank"]) if i else np.zeros(0, np.int64)
                       for i in rinfo]
@@ -1325,23 +1046,13 @@ def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
                 if flens[u] == 0:
                     continue
                 outs = keepers[u % K].run.options(num_returns=K).remote(
-                    _finish_fresh, fresh_refs[u], K, *per_shard_parts[u])
-                if K == 1:
-                    outs = [outs]
+                    _finish_fresh, fresh_refs[u], *per_shard_parts[u])
                 for b in range(K):
                     add_per_bucket[b].append(outs[b])
-            new_host_counts: dict[str, int] = {}
             for i in rinfo:
                 if i:
                     for h, c in i["host_counts"].items():
-                        new_host_counts[h] = new_host_counts.get(h, 0) + c
-            for h, c in new_host_counts.items():
-                counts[h] = counts.get(h, 0) + c
-            new_hosts = sorted(set(new_host_counts) - delays_known)
-            if new_hosts:
-                ray.get(politeness.set_delays.remote(
-                    ray.get(robots.delays.remote(new_hosts))))
-                delays_known.update(new_hosts)
+                        counts[h] = counts.get(h, 0) + c
             if checkpoint_dir:
                 hs = [i["hashes"] for i in rinfo
                       if i and i["hashes"] is not None and len(i["hashes"])]
@@ -1369,10 +1080,9 @@ def _crawl_rounds_dataset(fetch_stage, robots, seen, politeness,
                      else np.zeros(0, np.uint64))
             flat = [r for parts in bucket_parts for r in parts]
             fr_parts = [t for t in ray.get(flat) if t.num_rows]
-            # written ORDER-SORTED: resume (either mode) and the driver
-            # loop's ordering assumptions read it as a sorted frontier
+            # written in round order, independent of bucket arrival
             fr_tbl = (pa.concat_tables(fr_parts).combine_chunks()
-                      .sort_by([(c, "ascending") for c in oc])
+                      .sort_by([(c, "ascending") for c in order_cols])
                       if fr_parts else _frontier_table([], [], [], []))
             _write_checkpoint(checkpoint_dir, rnd, fr_tbl, round_visited,
                               delta, metrics[-1])

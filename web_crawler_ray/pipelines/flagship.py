@@ -3,8 +3,8 @@
 Ray-Data restatement of ``POST /api/crawl`` + site-wide crawl
 (crawler.service.js:24-201,283-426; SURVEY §3.4):
 
-    seeds -> round-based BFS (pipelines/crawl.py: seen shards, robots,
-             politeness actors)
+    seeds -> round-based BFS (pipelines/crawl.py: seen shards and
+             politeness actors, robots gate)
           -> pages Dataset
     pages -> classify (F13) -> ExtractStage (E1,E2,E4,E8,E9,inline)
           -> confidence >= 0.70 filter (P1)
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data as rd
 
 from ..sources import synth_world as W
@@ -37,12 +36,17 @@ def _conf_filter(batch: pa.Table) -> pa.Table:
     return batch.filter(pc.greater_equal(batch.column("confidence"), 0.70))
 
 
-def extract_locations_tail(raw: rd.Dataset, fuzzy: bool = True,
-                           early_stop: int | None = None) -> rd.Dataset:
-    """Post-extraction tail: fuzzy dedup -> geocode enrich -> quality
-    (shared by the barrier and overlap extraction paths — outputs are
-    identical because fuzzy dedup imposes its own total scan order)."""
-    locs = raw
+def extract_locations(pages: rd.Dataset, fuzzy: bool = True,
+                      early_stop: int | None = None) -> rd.Dataset:
+    """pages -> final enriched location records (lazy): extract ->
+    confidence filter -> fuzzy dedup -> geocode enrich -> quality.
+
+    ``early_stop``: P7 (professional-crawler.service.js:79-82) — stop at
+    ≥N locations unless fetchAll; expressed as the streaming ``limit``
+    (the honest batch equivalent per SURVEY §2.6)."""
+    locs = pages.map_batches(ExtractStage(), batch_format="pyarrow",
+                             batch_size=64, num_cpus=1)
+    locs = locs.map_batches(_conf_filter, batch_format="pyarrow")
     if fuzzy:
         locs = fuzzy_dedup(locs)  # D3: groupby(block).map_groups greedy@0.85
     locs = locs.map_batches(geocode_enrich_batch, batch_format="pyarrow",
@@ -53,176 +57,6 @@ def extract_locations_tail(raw: rd.Dataset, fuzzy: bool = True,
     return locs
 
 
-def extract_locations(pages: rd.Dataset, fuzzy: bool = True,
-                      early_stop: int | None = None) -> rd.Dataset:
-    """pages -> final enriched location records (lazy).
-
-    ``early_stop``: P7 (professional-crawler.service.js:79-82) — stop at
-    ≥N locations unless fetchAll; expressed as the streaming ``limit``
-    (the honest batch equivalent per SURVEY §2.6)."""
-    locs = pages.map_batches(ExtractStage(), batch_format="pyarrow",
-                             batch_size=64, num_cpus=1)
-    locs = locs.map_batches(_conf_filter, batch_format="pyarrow")
-    return extract_locations_tail(locs, fuzzy=fuzzy, early_stop=early_stop)
-
-
-_WORKER_EXTRACT: list = []  # per-worker ExtractStage singleton
-
-
-@ray.remote
-def _classify_extract_block(tbl: pa.Table, part: int = 0,
-                            n_parts: int = 1) -> pa.Table:
-    """classify -> extract -> confidence filter for one fetched-block
-    SLICE (part/n_parts — the slice is taken inside the task, so finer
-    granularity costs no extra data movement; per-page semantics make
-    the split invisible in the output).
-
-    The overlap-extraction task: submitted from crawl's ``page_hook`` on
-    each round's block refs, so extraction runs on idle CPUs WHILE later
-    crawl rounds fetch — no crawl-barrier-then-extract phase wall. At
-    cluster scale this is the shape that keeps the extract stage busy
-    for the whole crawl instead of idling through it."""
-    from ..stages.classify import classify_batch
-    if n_parts > 1:
-        step = -(-tbl.num_rows // n_parts)
-        tbl = tbl.slice(part * step, step)
-    if not _WORKER_EXTRACT:
-        _WORKER_EXTRACT.append(ExtractStage())
-    return _conf_filter(_WORKER_EXTRACT[0](classify_batch(tbl)))
-
-
-@ray.remote
-def _concat_blocks(*tbls: pa.Table) -> pa.Table:
-    ts = [t for t in tbls if t.num_rows]
-    return pa.concat_tables(ts).combine_chunks() if ts else tbls[0]
-
-
-class OverlapExtractor:
-    """page_hook collector: submits _classify_extract_block per block as
-    rounds complete; ``dataset()`` wraps the accumulated result refs.
-
-    ``dataset()`` first COALESCES the per-fetch-block location outputs
-    (hundreds of small tables over a long crawl) down to
-    ``target_blocks``: the downstream fuzzy-dedup groupby's sort shuffle
-    creates O(input_blocks x partitions) objects, which was measured as
-    ~10 s of parallelism-independent tail time at 260 blocks — location
-    rows are tiny, so concat tasks are nearly free and overlap the
-    crawl's final round."""
-
-    def __init__(self, splits_per_block: int = 3, task_num_cpus: float = 1.0):
-        # ~3 slices per fetch block: the drain after the final round is
-        # bounded by the LONGEST remaining task, and whole-block tasks
-        # (~2.3 s) left a multi-second straggler tail
-        self.splits = max(1, splits_per_block)
-        self.task_num_cpus = task_num_cpus
-        self.refs: list = []
-
-    def __call__(self, ds: rd.Dataset) -> None:
-        self.consume_refs(ds.to_arrow_refs())
-
-    def consume_refs(self, refs: list) -> None:
-        # raw-ref fast path (crawl dataset mode): submitting directly on
-        # the fetch-task outputs is non-blocking, so each block's
-        # extract tasks become runnable the moment ITS fetch completes —
-        # the Dataset round-trip (from_arrow_refs -> to_arrow_refs)
-        # waits on every block's metadata first, which measured ~1.5 s
-        # of lost extract/fetch overlap in the final big round
-        fn = (_classify_extract_block if self.task_num_cpus == 1.0 else
-              _classify_extract_block.options(num_cpus=self.task_num_cpus))
-        for r in refs:
-            for p in range(self.splits):
-                self.refs.append(fn.remote(r, p, self.splits))
-
-    def dataset(self, target_blocks: int = 128) -> rd.Dataset:
-        # 128, not n_cpus: the downstream fuzzy groupby's partition count
-        # follows the input block count, and per-host greedy cost is
-        # ~quadratic in host size — more partitions => the straggler
-        # partition holds ~3 hosts instead of ~12 (measured 4.9 s -> ~1 s
-        # straggler at bench scale)
-        refs = self.refs
-        if len(refs) > target_blocks:
-            k = -(-len(refs) // target_blocks)
-            refs = [_concat_blocks.remote(*refs[i:i + k])
-                    for i in range(0, len(refs), k)]
-        return rd.from_arrow_refs(refs)
-
-
-_WORKER_ASSEMBLE: list = []  # per-worker SpanAssemblyStage singleton
-
-
-@ray.remote
-def _assemble_span_block(tbl: pa.Table, part: int = 0,
-                         n_parts: int = 1) -> pa.Table:
-    """Span assembly for one fetched-block slice (per-page pure map, so
-    slicing is invisible in the output) — the overlap form of
-    ``assemble_documents(content_dedup=False)``."""
-    if n_parts > 1:
-        step = -(-tbl.num_rows // n_parts)
-        tbl = tbl.slice(part * step, step)
-    if not _WORKER_ASSEMBLE:
-        _WORKER_ASSEMBLE.append(SpanAssemblyStage())
-    return _WORKER_ASSEMBLE[0](tbl)
-
-
-class OverlapAssembler:
-    """page_hook collector for the DOCUMENTS path: submits span-assembly
-    tasks per fetched block as rounds complete, so the interleaved-span
-    documents are built WHILE later rounds crawl (same overlap shape as
-    OverlapExtractor; output ≡ ``assemble_documents(res.pages)`` with
-    content_dedup=False, pinned in tests). With both hooks installed the
-    post-crawl work is only the drain of the final round's tasks.
-
-    Measured honestly: at single-node bench scale this hook made the
-    headline SLOWER (both-hooks 33.9 s vs 25.4 s adjacent runs at
-    32 cpus) — the extra in-crawl tasks contend with the frontier
-    bookkeeping's critical path, while the post-crawl docs drain it
-    removes was only ~2 s. The win case is a real cluster where crawl
-    rounds dominate wall time and extract/assembly CPUs would otherwise
-    idle; the bench headline therefore uses the extract hook only."""
-
-    def __init__(self, splits_per_block: int = 2):
-        self.splits = max(1, splits_per_block)
-        self.refs: list = []
-
-    def __call__(self, ds: rd.Dataset) -> None:
-        self.consume_refs(ds.to_arrow_refs())
-
-    def consume_refs(self, refs: list) -> None:
-        # non-blocking raw-ref path; see OverlapExtractor.consume_refs
-        for r in refs:
-            for p in range(self.splits):
-                self.refs.append(_assemble_span_block.remote(r, p, self.splits))
-
-    def dataset(self, target_blocks: int = 128) -> rd.Dataset:
-        refs = self.refs
-        if len(refs) > target_blocks:
-            k = -(-len(refs) // target_blocks)
-            refs = [_concat_blocks.remote(*refs[i:i + k])
-                    for i in range(0, len(refs), k)]
-        return rd.from_arrow_refs(refs)
-
-
-class MultiHook:
-    """Compose page hooks: each fetched-round Dataset is handed to every
-    hook (extract + span assembly both overlapping the crawl)."""
-
-    def __init__(self, *hooks):
-        self.hooks = hooks
-
-    def __call__(self, ds: rd.Dataset) -> None:
-        for h in self.hooks:
-            h(ds)
-
-    def consume_refs(self, refs: list) -> None:
-        for h in self.hooks:
-            cr = getattr(h, "consume_refs", None)
-            if cr is not None:
-                cr(refs)
-            else:
-                import ray.data as _rd
-                h(_rd.from_arrow_refs(refs))
-
-
 def assemble_documents(pages: rd.Dataset, content_dedup: bool = False,
                        n_dedup_shards: int = 4) -> rd.Dataset:
     """pages -> interleaved text+media span documents (input_hint shape).
@@ -230,10 +64,13 @@ def assemble_documents(pages: rd.Dataset, content_dedup: bool = False,
     ``content_dedup=True`` routes pages through the stateful content-hash
     dedup actor-pool stage first (north-star dedup service): pages whose
     html bytes were already seen anywhere in the run are dropped before
-    span assembly (mirror/alias pages at web scale)."""
+    span assembly (mirror/alias pages at web scale). The hash-shard
+    actors reserve no CPU: they outlive the returned Dataset, and a
+    fractional reservation each would leave less than the 1 CPU a later
+    crawl's fetch task needs on a small node."""
     if content_dedup:
         from ..stages.dedup import ContentDedupStage, ContentHashShard
-        shards = [ContentHashShard.options(num_cpus=0.1).remote()
+        shards = [ContentHashShard.options(num_cpus=0).remote()
                   for _ in range(n_dedup_shards)]
         pages = pages.map_batches(ContentDedupStage(shards, text_col="html"),
                                   batch_format="pyarrow", batch_size=256)
@@ -247,8 +84,7 @@ def run_flagship(seed: int = 42, n_hosts: int = 8, pages_per_host_base: int = 30
                  fetch_concurrency: int = 4,
                  checkpoint_dir: str | None = None,
                  profile: str = "v1",
-                 content_dedup: bool | None = None,
-                 overlap_extract: bool = False) -> dict:
+                 content_dedup: bool | None = None) -> dict:
     """Build the synthetic world, crawl it, extract everything.
 
     ``profile="v2"`` worlds contain byte-identical mirror pages, large
@@ -264,19 +100,14 @@ def run_flagship(seed: int = 42, n_hosts: int = 8, pages_per_host_base: int = 30
     pages_store, robots, seeds = W.world(seed=seed, n_hosts=n_hosts,
                                          pages_per_host_base=pages_per_host_base,
                                          profile=profile)
-    ov = OverlapExtractor() if overlap_extract else None
     res: CrawlResult = crawl(pages_store, robots, seeds,
                              max_pages=max_pages, max_depth=max_depth,
                              round_seconds=round_seconds,
                              fetch_concurrency=fetch_concurrency,
-                             checkpoint_dir=checkpoint_dir,
-                             page_hook=ov)
+                             checkpoint_dir=checkpoint_dir)
     pages = res.pages
-    if overlap_extract:
-        locations = extract_locations_tail(ov.dataset())
-    else:
-        classified = pages.map_batches(classify_batch, batch_format="pyarrow")
-        locations = extract_locations(classified)
+    classified = pages.map_batches(classify_batch, batch_format="pyarrow")
+    locations = extract_locations(classified)
     documents = assemble_documents(pages, content_dedup=content_dedup)
     return {"crawl": res, "locations": locations, "documents": documents,
             "pages": pages}

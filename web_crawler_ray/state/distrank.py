@@ -1,7 +1,7 @@
 """Distributed rank assignment over sorted shards (sample-merge-rank).
 
-``frontier_mode="dataset"`` (pipelines/crawl.py) keeps the frontier as
-K hash(host) Arrow buckets in the object store; the per-round global
+The crawl frontier (pipelines/crawl.py) is kept as K hash(host) Arrow
+buckets in the object store; the per-round global
 fetch order is a merge of the K buckets' already-sorted integer order
 keys.  Below ``crawl(rank_gather_limit=...)`` rows the driver simply
 gathers the int keys and argsorts (O(round) ints of driver traffic —

@@ -1,6 +1,6 @@
 """Multi-node actor placement for the crawl's stateful pools.
 
-The seen-set shards, frontier keeper actors, and the robots/politeness
+The seen-set shards, frontier keeper actors, and the politeness
 singletons are all tiny-CPU actors created with default placement. On a
 single node that is irrelevant; on a 256-node cluster the default
 (locality-packed) policy can land every shard on the head node, turning

@@ -1,4 +1,4 @@
-"""robots.txt parsing + per-host cache actor (S5/F10/F11).
+"""robots.txt parsing + per-host rule cache (S5/F10/F11).
 
 Reference behavior transcribed (robots.service.js):
 - per-host parser cache (:9,23-24)
@@ -8,8 +8,10 @@ Reference behavior transcribed (robots.service.js):
   error (:79-87); UA = ``WebCrawlerBot/2.0`` (:5)
 
 Parser: standard longest-prefix-match over the ``*`` / UA-specific
-agent groups (robots-parser package semantics, public spec). Batch
-API — one actor call covers every distinct host in a frontier round.
+agent groups (robots-parser package semantics, public spec). Rules are
+static per crawl, so no actor holds them: the crawl driver reads
+crawl-delays from a local ``RobotsIndex`` and the frontier tasks gate
+URLs with ``local_check`` against one broadcast copy of the raw map.
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ class RobotsRules:
         return self.crawl_delay if self.crawl_delay is not None else DEFAULT_CRAWL_DELAY
 
 
-class _RobotsCacheImpl:
-    """Per-host robots cache. In production ``__init__`` would hold an HTTP
-    session and fetch ``origin/robots.txt`` lazily; in-sandbox it is seeded
-    with the synthetic world's robots table."""
+class RobotsIndex:
+    """Per-host parsed rules over a raw ``host -> robots.txt`` map, parsed
+    lazily and cached per host."""
 
     def __init__(self, robots_by_host: dict[str, str]):
         self.raw = robots_by_host
@@ -90,19 +91,13 @@ class _RobotsCacheImpl:
         return out
 
 
-RobotsCache = ray.remote(_RobotsCacheImpl)
+# --- task-side evaluation ----------------------------------------------------
+# Broadcasting the raw robots map once (``ray.put``) lets every reduce/prep
+# task evaluate locally — a single robots actor's ``check`` RPC SERIALIZED
+# the K parallel candidate-reduce tasks each round (measured ~0.5-1 s/round
+# of critical-path wait at bench scale).
 
-
-# --- actor-free evaluation for static-rule crawls ----------------------------
-# Robots rules never change within one crawl (the actor's fetch-and-cache
-# path matters for LIVE crawls; the gate semantics don't). Broadcasting the
-# raw robots map once (``ray.put``) lets every reduce/prep task evaluate
-# locally — the single-actor ``check`` RPC otherwise SERIALIZES the K
-# parallel candidate-reduce tasks each round (measured ~0.5-1 s/round of
-# critical-path wait at bench scale). Decisions are bit-identical: same
-# parser, same rules.
-
-_LOCAL: dict = {}  # ref hex -> parsed _RobotsCacheImpl (per worker process)
+_LOCAL: dict = {}  # ref hex -> RobotsIndex (per worker process)
 
 
 class RobotsGate:
@@ -125,6 +120,6 @@ def local_check(raw_ref, hosts: list[str], paths: list[str]) -> list[bool]:
     if impl is None:
         if len(_LOCAL) > 4:  # successive crawls in one process
             _LOCAL.clear()
-        impl = _RobotsCacheImpl(ray.get(raw_ref))
+        impl = RobotsIndex(ray.get(raw_ref))
         _LOCAL[key] = impl
     return impl.check(hosts, paths)
