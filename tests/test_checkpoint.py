@@ -37,6 +37,33 @@ def test_checkpoint_and_resume(tmp_path):
     assert n_pages == res.stats["fetched"]
 
 
+def test_checkpoint_pages_hold_exactly_their_rounds_urls(tmp_path):
+    """Each complete round's pages/ holds exactly the urls that round
+    fetched (one write task per round, awaited before _COMPLETE), on a
+    budgeted, backoff world; the crawl's one pages Dataset holds every
+    fetched page."""
+    import collections
+
+    tbl, robots, seeds = W.world(seed=7, n_hosts=5, pages_per_host_base=14,
+                                 profile="v2")
+    ck = str(tmp_path / "ckpt")
+    res = crawl(tbl, robots, seeds, max_pages=10_000, max_depth=3,
+                round_seconds=6.0, backoff=True, checkpoint_dir=ck)
+    assert res.stats["rounds"] > 2
+    assert res.pages.count() == res.stats["fetched"]
+    v = res.visited
+    by_round = collections.defaultdict(collections.Counter)
+    for r, u in zip(v.column("round").to_pylist(), v.column("url").to_pylist()):
+        by_round[r][u] += 1
+    done = [d for d in os.listdir(ck)
+            if os.path.exists(os.path.join(ck, d, "_COMPLETE"))]
+    assert len(done) == res.stats["rounds"]
+    for d in done:
+        urls = pq.read_table(os.path.join(ck, d, "pages")).column("url")
+        assert collections.Counter(urls.to_pylist()) == \
+            by_round[int(d.split("=")[1])]
+
+
 def test_resume_info_empty(tmp_path):
     assert resume_info(str(tmp_path / "nope")) is None
 

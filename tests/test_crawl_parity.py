@@ -388,3 +388,40 @@ def test_http_fetcher_against_local_server(ray_session):
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+_ONE_CPU_CRAWL = """
+import sys, threading
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from web_crawler_ray.pipelines.crawl import crawl
+from web_crawler_ray.sources import synth_world as W
+tbl, robots, seeds = W.world(seed=42, n_hosts=4, pages_per_host_base=10)
+out = []
+t = threading.Thread(target=lambda: out.append(
+    crawl(tbl, robots, seeds).stats["fetched"]), daemon=True)
+t.start()
+t.join(60)
+print("fetched", out[0] if out else "none (still waiting)")
+ray.shutdown()
+sys.exit(0 if out else 1)
+"""
+
+
+def test_crawl_completes_on_one_cpu_node():
+    """A crawl finishes on a 1-CPU node: its state actors reserve no CPU,
+    so the 1-CPU fetch task can be scheduled (a fractional reservation
+    per actor left it pending forever). Own node, in a subprocess; the
+    crawl gets 60 s."""
+    import os
+    import re
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    env.pop("RAY_ADDRESS", None)
+    p = subprocess.run([sys.executable, "-c", _ONE_CPU_CRAWL], cwd=root,
+                       env=env, capture_output=True, text=True, timeout=240)
+    assert p.returncode == 0, p.stdout + p.stderr[-2000:]
+    assert int(re.search(r"^fetched (\d+)$", p.stdout, re.M).group(1)) > 0

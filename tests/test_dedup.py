@@ -419,33 +419,42 @@ def test_scraper_similarity_properties():
     check()
 
 
-def test_fuzzy_hash_shuffle_equals_sort_shuffle(ray_session):
-    """fuzzy_dedup(shuffle="hash") — the raw-task hash exchange
-    (stages/shuffles.py) — returns exactly the rows of the sort-based
-    groupby().map_groups path: _fuzzy_host_group imposes its own total
-    scan order, so exchange arrival order is invisible. Multi-host,
+@pytest.mark.parametrize("num_partitions", [1, 3, 96])
+def test_fuzzy_hash_exchange_equals_scalar_per_host(ray_session,
+                                                    num_partitions):
+    """fuzzy_dedup's raw-task hash exchange (stages/shuffles.py) returns,
+    for any partition count, exactly the rows of the scalar reference
+    greedy run per host in (discovery_seq, within_page_idx) order:
+    _fuzzy_host_group imposes its own total scan order, so neither
+    arrival order nor how hosts share partitions is visible. Multi-host,
     multi-block input so both the split and reduce waves are exercised."""
-    import numpy as np
+    from web_crawler_ray.stages.shuffles import hash_map_groups
+    names = ["Acme", "Globex", "Initech", "Umbrella", "Hooli", "Vandelay",
+             "Stark", "Wayne", "Wonka", "Tyrell", "Cyberdyne", "Soylent"]
+    streets = ["Main Street", "Oak Avenue", "Pine Road", "Elm Boulevard",
+               "Cedar Lane", "Harbor Drive"]
     rng = np.random.default_rng(11)
-    rows = []
+    by_host: dict[int, list[dict]] = {}
     seq = 0
     for h in range(17):
         for i in range(int(rng.integers(1, 40))):
-            dup = i > 0 and rng.random() < 0.4
-            street = 100 if dup else 100 + i
-            rows.append({
-                "name": f"Shop {h}-{i % 5}",
-                "address": f"{street} Main Street, City{h}",
+            k = 0 if i > 0 and rng.random() < 0.4 else i  # 0: a repeat
+            by_host.setdefault(h, []).append({
+                "name": f"{names[k % 12]} {streets[k % 6].split()[0]} {k}",
+                "address": f"{100 + 37 * k} {streets[k % 6]}, City{h}",
                 "latitude": "", "longitude": "",
                 "postal_code": f"{60000 + h}",
                 "source_url": f"https://host{h}.example/p{i}",
-                "discovery_seq": seq, "within_page_idx": 0})
-            seq += 1
-    df = pd.DataFrame(rows)
-    ds = rd.from_pandas(df).repartition(7)
-    a = D.fuzzy_dedup(ds, shuffle="sort").to_pandas()
-    b = D.fuzzy_dedup(ds, shuffle="hash").to_pandas()
-    key = sorted(a.columns)
-    a2 = a.sort_values(key).reset_index(drop=True)[key]
-    b2 = b.sort_values(key).reset_index(drop=True)[key]
-    assert a2.equals(b2)
+                "discovery_seq": seq, "within_page_idx": i % 2})
+            seq += 1 - i % 2  # two rows per page
+    rows = [r for rs in by_host.values() for r in rs]
+    cols = sorted(rows[0])
+    ds = rd.from_pandas(pd.DataFrame(rows)).repartition(7)
+    got = hash_map_groups(ds, "fuzzy_host", D._fuzzy_host_group,
+                          num_partitions=num_partitions,
+                          prepare=D._add_fuzzy_keys).to_pandas()
+    want = [r for rs in by_host.values() for r in D.fuzzy_dedup_greedy_scalar(
+        sorted(rs, key=lambda r: (r["discovery_seq"], r["within_page_idx"])))]
+    assert len(rows) > len(want) > len(by_host)  # 329 rows -> 180
+    assert sorted(map(tuple, got[cols].values.tolist())) == \
+        sorted(tuple(r[c] for c in cols) for r in want)

@@ -1,6 +1,7 @@
 """End-to-end flagship pipeline: output determinism across parallelism."""
 
 import pandas as pd
+import pytest
 
 from web_crawler_ray.pipelines.flagship import run_flagship
 
@@ -67,11 +68,21 @@ def _settled_cpu() -> float:
     return last
 
 
+def _live_content_shards() -> int:
+    """ContentHashShard actors alive on the node, read from the GCS
+    (ray.util.state.list_actors needs the dashboard, which the test
+    session does not start)."""
+    import ray._private.state as gcs
+    return sum(1 for a in gcs.actors().values()
+               if a["ActorClassName"] == "_ContentHashShardImpl"
+               and a["State"] == "ALIVE")
+
+
 def test_content_dedup_releases_cpu(ray_session):
     """A materialized content-dedup pass, once dropped, leaves the node's
-    CPU as it found it: the hash-shard actors outlive the Dataset, so
-    any CPU they reserved would starve a later crawl's fetch task on a
-    small node."""
+    CPU and its ContentHashShard actors as it found them: a reservation
+    left behind would starve a later crawl's fetch task on a small node,
+    and each leaked shard is an idle process."""
     import gc
 
     import pyarrow as pa
@@ -82,12 +93,51 @@ def test_content_dedup_releases_cpu(ray_session):
         "url": [f"https://h.example/m{i}" for i in range(3)],
         "html": [html] * 3}))
     gc.collect()
-    before = _settled_cpu()
+    before = _settled_cpu(), _live_content_shards()
     docs = assemble_documents(pages, content_dedup=True).materialize()
     assert docs.count() == 1
     del docs
     gc.collect()
-    assert _settled_cpu() == before
+    assert (_settled_cpu(), _live_content_shards()) == before
+
+
+@pytest.mark.parametrize("fuzzy", [True, False])
+def test_extract_locations_equals_separate_enrich_chain(ray_session, fuzzy):
+    """extract_locations runs enrich + quality inside the fuzzy-dedup
+    exchange (or as one map stage without it); the rows equal the chain
+    with fuzzy_dedup followed by separate geocode_enrich_batch and
+    add_quality stages. With the exchange, the result is already
+    materialized: consuming it runs no further Ray Data job."""
+    from ray.data.dataset import MaterializedDataset
+    from web_crawler_ray.pipelines.crawl import crawl
+    from web_crawler_ray.pipelines.flagship import _conf_filter, extract_locations
+    from web_crawler_ray.sources import synth_world as W
+    from web_crawler_ray.stages.classify import classify_batch
+    from web_crawler_ray.stages.dedup import fuzzy_dedup
+    from web_crawler_ray.stages.enrich import add_quality, geocode_enrich_batch
+    from web_crawler_ray.stages.extract import ExtractStage
+    tbl, robots, seeds = W.world(seed=42, n_hosts=4, pages_per_host_base=14)
+    pages = crawl(tbl, robots, seeds, max_pages=1000,
+                  round_seconds=30.0).pages.materialize()
+    classified = pages.map_batches(classify_batch, batch_format="pyarrow")
+    got = extract_locations(classified, fuzzy=fuzzy)
+    assert isinstance(got, MaterializedDataset) == fuzzy
+    ref = classified.map_batches(ExtractStage(), batch_format="pyarrow",
+                                 batch_size=64) \
+        .map_batches(_conf_filter, batch_format="pyarrow")
+    if fuzzy:
+        ref = fuzzy_dedup(ref)
+    ref = ref.map_batches(geocode_enrich_batch, batch_format="pyarrow",
+                          batch_size=512) \
+        .map_batches(add_quality, batch_format="pyarrow")
+
+    def rows(ds) -> list:
+        df = ds.to_pandas()
+        return sorted(map(tuple, df[sorted(df.columns)].astype(str)
+                          .values.tolist()))
+    want = rows(ref)
+    assert len(want) > 0
+    assert rows(got) == want
 
 
 def test_bulk_pipeline(tmp_path):

@@ -10,7 +10,7 @@ import ray.data as rd
 from web_crawler_ray.functions import hashing as H
 from web_crawler_ray.sources import readers as R
 from web_crawler_ray.sources import storage as ST
-from web_crawler_ray.state.politeness import _PolitenessImpl
+from web_crawler_ray.state.politeness import Politeness
 
 
 def test_hash64_stability_and_vector():
@@ -42,7 +42,7 @@ def test_storage_dataset_roundtrip(tmp_path):
 
 
 def test_politeness_implied_api():
-    pol = _PolitenessImpl(round_seconds=10.0)
+    pol = Politeness(round_seconds=10.0)
     pol.set_delays({"slow.example": 5.0})
     # default host: fixed 1 s delay -> 10 tokens; explicit 5 s -> 2 tokens
     assert pol.budget("fast.example") == 10

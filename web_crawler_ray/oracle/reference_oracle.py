@@ -94,7 +94,7 @@ def oracle_crawl(pages_by_url: dict[str, dict], robots_by_host: dict[str, str],
                  order: str = "fifo"):
     """The round-based crawl spec, sequential. Returns
     (fetch_order [(round, seq, url)], seen sorted-hash list, stats dict).
-    ``stats["politeness"]`` is the politeness actor's ``get_all_stats``
+    ``stats["politeness"]`` is the politeness ledger's ``get_all_stats``
     shape: per host, the fetches granted (before the max_pages cap) and
     the backoff failure counter."""
     rules = {h: RobotsRules(t) for h, t in robots_by_host.items()}

@@ -2,7 +2,7 @@
 
 The reference's sequential FIFO BFS (site-crawler.service.js:129-194)
 is re-expressed as frontier ROUNDS: each round grants per-host budgets
-from the politeness actor, fetches the granted slice, extracts links,
+from the driver's politeness ledger, fetches the granted slice, extracts links,
 and feeds the seen-set shards to build the next frontier. Crawl
 ordering parity with the sequential loop comes from ``discovery_seq``:
 a FIFO BFS queue is exactly (depth, discovery_seq) order, so processing
@@ -11,17 +11,17 @@ bit-for-bit (proved against the oracle in tests/test_crawl_parity.py).
 
 Scale notes (10^10-URL frontier, multi-node):
 - Page CONTENT never touches the driver: fetch + link extract run as
-  Ray tasks whose output blocks stay in the object store and are
-  wrapped into a Dataset for the extract/spans/write stages; per-round
-  pages are checkpointed to partitioned parquet (resume = skip
-  complete rounds).
+  Ray tasks whose output blocks stay in the object store, wrapped into
+  ONE Dataset when the crawl ends; a plain task per round checkpoints
+  its pages to parquet (resume = skip complete rounds).
 - The frontier is sharded object-store state: K hash(host) buckets of
   Arrow tables, gated once at insert time. The driver only sees int
   order keys per round (or, above ``rank_gather_limit``, per-shard
   samples and counts — state/distrank.py).
-- Seen set and politeness are actor pools; ONE batched RPC per shard
-  per round. Robots rules are static per crawl and evaluated locally in
-  the tasks against one broadcast copy of the raw robots map.
+- The seen set is an actor pool; ONE batched RPC per shard per round.
+  Politeness is one driver-local ledger (one grant per round). Robots
+  rules are static per crawl and evaluated locally in the tasks against
+  one broadcast copy of the raw robots map.
 """
 
 from __future__ import annotations
@@ -450,8 +450,8 @@ def _fetch_block(stage, tbl: pa.Table, meta_cols: tuple,
     startup per round (round-3 fixed-cost cut). Returns (fetched block,
     metadata projection) in ONE task — a separate 0-cpu projection task
     per block churned the worker pool (import storms => stragglers).
-    The fetched blocks are wrapped back into a Dataset (from_arrow_refs)
-    for the downstream streaming stages.
+    The fetched blocks stay in the object store; crawl() wraps the
+    non-empty ones of every round into one Dataset at the end.
 
     ``part``/``n_parts`` slice the block INSIDE the task (zero extra
     data movement): fetch parallelism then isn't capped by the K=16
@@ -703,11 +703,11 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
     seen = SeenSet(n_shards=n_seen_shards,
                    n_buckets_log2=seen_buckets_log2,
                    spill_threshold=seen_spill_threshold)
-    politeness = Politeness.options(**spread_opts(num_cpus=0.1)).remote(
+    politeness = Politeness(
         round_seconds if round_seconds is not None else float("inf"))
     # robots rules are static per crawl: every explicit crawl-delay is
     # installed up front (hosts without one use the politeness default)
-    politeness.set_delays.remote(
+    politeness.set_delays(
         RobotsIndex(robots_by_host).delays(list(robots_by_host)))
 
     info = resume_info(resume_from) if resume_from else None
@@ -838,7 +838,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     a worker death fails the crawl. Retry-safe rounds need a
     contains-filter + insert-after-commit split."""
     visited_parts: list[pa.Table] = []
-    page_datasets: list[rd.Dataset] = []
+    page_refs: list = []  # every round's non-empty fetched blocks
     metrics: list[dict] = []
     max_rounds = rnd + 10_000
     order_cols = (["priority", "discovery_seq"] if order == "priority"
@@ -883,7 +883,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
         phases_rounds.append({})
         _ph("idle")
         rows_in = sum(counts.values())
-        grant = ray.get(politeness.grant.remote(counts))
+        grant = politeness.grant(counts)
         grant_ref = ray.put(grant)
         # upper bound on this round's taken rows, known pre-mark: picks
         # the rank-assignment path (driver int-key argsort vs distrank)
@@ -941,11 +941,11 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
 
         # --- fetch + fused link extract: plain Ray tasks per bucket
         # SLICE (a round is a hard barrier; skipping the Dataset executor
-        # saves its fixed startup per round), wrapped back into a Dataset
-        # for the downstream streaming stages; the visited-metadata
-        # projection rides back as the task's second return. FP slices
-        # per bucket lift fetch parallelism past the K buckets when the
-        # cluster is wider than K ---
+        # saves its fixed startup per round); the visited-metadata
+        # projection rides back as the task's second return, and its row
+        # counts say which blocks are non-empty. FP slices per bucket
+        # lift fetch parallelism past the K buckets when the cluster is
+        # wider than K ---
         fpairs = [_fetch_block.remote(
                       fetch_stage, r,
                       ("url", "host", "depth", "discovery_seq",
@@ -1000,20 +1000,19 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
             fails = collections.Counter(
                 h for h, ok in zip(host_arr, ok_arr) if not ok)
             ok_hosts = {h for h, ok in zip(host_arr, ok_arr) if ok}
-            calls = [politeness.record_failure.remote(h, n)
-                     for h, n in fails.items()]
-            calls += [politeness.record_success.remote(h)
-                      for h in ok_hosts - set(fails)]
-            if calls:
-                ray.get(calls)
+            for h, n in fails.items():
+                politeness.record_failure(h, n)
+            for h in ok_hosts - set(fails):
+                politeness.record_success(h)
 
-        if checkpoint_dir or keep_pages:
-            fetched = rd.from_arrow_refs(fetched_refs)
-            if checkpoint_dir:
-                fetched.write_parquet(
-                    os.path.join(checkpoint_dir, f"round={rnd}", "pages"))
-            if keep_pages:
-                page_datasets.append(fetched)
+        round_refs = [r for r, m in zip(fetched_refs, meta_parts)
+                      if m.num_rows]
+        if keep_pages:
+            page_refs += round_refs
+        if checkpoint_dir:
+            pages_written = _write_pages.remote(
+                os.path.join(checkpoint_dir, f"round={rnd}", "pages"),
+                *round_refs)
 
         _ph("backoff_ckpt")
         rinfo = ray.get([r[1] for r in reduces])
@@ -1084,6 +1083,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
             fr_tbl = (pa.concat_tables(fr_parts).combine_chunks()
                       .sort_by([(c, "ascending") for c in order_cols])
                       if fr_parts else _frontier_table([], [], [], []))
+            ray.get(pages_written)  # _COMPLETE implies the pages are on disk
             _write_checkpoint(checkpoint_dir, rnd, fr_tbl, round_visited,
                               delta, metrics[-1])
             round_delta = []
@@ -1093,14 +1093,10 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     _pt[0] = time.perf_counter()
     visited = (pa.concat_tables(visited_parts) if visited_parts
                else _EMPTY_VISITED)
-    pages = None
-    if keep_pages and page_datasets:
-        pages = page_datasets[0]
-        for d in page_datasets[1:]:
-            pages = pages.union(d)
+    pages = rd.from_arrow_refs(page_refs) if page_refs else None
     stats = {"fetched": n_fetched, "rounds": rnd, "seen": seen.cardinality(),
              "seen_shards": seen.memory_stats(),
-             "politeness": ray.get(politeness.get_all_stats.remote())}
+             "politeness": politeness.get_all_stats()}
     _ph("final")
     stats["driver_phases"] = {k: round(v, 3) for k, v in phases.items()}
     stats["driver_phases_rounds"] = [
@@ -1108,6 +1104,13 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     return CrawlResult(visited=visited, pages=pages,
                        seen_snapshot=seen.snapshot(), stats=stats,
                        metrics=metrics, visited_dir=visited_spill_dir)
+
+
+@ray.remote
+def _write_pages(d: str, *blocks: pa.Table) -> None:
+    """One round's fetched pages as one parquet file under ``d``."""
+    os.makedirs(d, exist_ok=True)
+    pq.write_table(pa.concat_tables(blocks), os.path.join(d, "part-0.parquet"))
 
 
 def _write_checkpoint(ckpt_dir: str, rnd: int, frontier: pa.Table,

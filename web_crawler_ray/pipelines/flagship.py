@@ -3,8 +3,8 @@
 Ray-Data restatement of ``POST /api/crawl`` + site-wide crawl
 (crawler.service.js:24-201,283-426; SURVEY §3.4):
 
-    seeds -> round-based BFS (pipelines/crawl.py: seen shards and
-             politeness actors, robots gate)
+    seeds -> round-based BFS (pipelines/crawl.py: seen shards,
+             politeness ledger, robots gate)
           -> pages Dataset
     pages -> classify (F13) -> ExtractStage (E1,E2,E4,E8,E9,inline)
           -> confidence >= 0.70 filter (P1)
@@ -12,15 +12,17 @@ Ray-Data restatement of ``POST /api/crawl`` + site-wide crawl
           -> geocode enrich (N13 synthetic) -> quality (A2)
     pages -> SpanAssemblyStage -> interleaved (doc_id, spans) documents
 
-Everything after the crawl is a lazy streaming Dataset chain — no
-driver materialization of page content; consume with write_parquet /
-to_pandas on the (small) final locations.
+No page content passes through the driver. ``extract_locations`` runs
+the extract chain eagerly as ONE Ray Data job into the fuzzy-dedup hash
+exchange, whose reduce tasks also enrich and score; documents stay a
+lazy streaming Dataset (content dedup aside, see assemble_documents).
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 from ..sources import synth_world as W
@@ -36,10 +38,16 @@ def _conf_filter(batch: pa.Table) -> pa.Table:
     return batch.filter(pc.greater_equal(batch.column("confidence"), 0.70))
 
 
+def _enrich(batch: pa.Table) -> pa.Table:
+    """Geocode enrich (N13 synthetic) then quality (A2): both row-wise."""
+    return add_quality(geocode_enrich_batch(batch))
+
+
 def extract_locations(pages: rd.Dataset, fuzzy: bool = True,
                       early_stop: int | None = None) -> rd.Dataset:
-    """pages -> final enriched location records (lazy): extract ->
-    confidence filter -> fuzzy dedup -> geocode enrich -> quality.
+    """pages -> final enriched location records: extract -> confidence
+    filter -> fuzzy dedup -> geocode enrich -> quality (the last two in
+    the dedup's reduce tasks; a lazy ``map_batches`` without ``fuzzy``).
 
     ``early_stop``: P7 (professional-crawler.service.js:79-82) — stop at
     ≥N locations unless fetchAll; expressed as the streaming ``limit``
@@ -47,11 +55,11 @@ def extract_locations(pages: rd.Dataset, fuzzy: bool = True,
     locs = pages.map_batches(ExtractStage(), batch_format="pyarrow",
                              batch_size=64, num_cpus=1)
     locs = locs.map_batches(_conf_filter, batch_format="pyarrow")
-    if fuzzy:
-        locs = fuzzy_dedup(locs)  # D3: groupby(block).map_groups greedy@0.85
-    locs = locs.map_batches(geocode_enrich_batch, batch_format="pyarrow",
-                            batch_size=512)
-    locs = locs.map_batches(add_quality, batch_format="pyarrow")
+    if fuzzy:  # D3: per-host greedy@0.85 over the raw-task hash exchange
+        locs = fuzzy_dedup(locs, finish=_enrich)
+    else:
+        locs = locs.map_batches(_enrich, batch_format="pyarrow",
+                                batch_size=512)
     if early_stop is not None:
         locs = locs.limit(early_stop)
     return locs
@@ -64,16 +72,20 @@ def assemble_documents(pages: rd.Dataset, content_dedup: bool = False,
     ``content_dedup=True`` routes pages through the stateful content-hash
     dedup actor-pool stage first (north-star dedup service): pages whose
     html bytes were already seen anywhere in the run are dropped before
-    span assembly (mirror/alias pages at web scale). The hash-shard
-    actors reserve no CPU: they outlive the returned Dataset, and a
-    fractional reservation each would leave less than the 1 CPU a later
-    crawl's fetch task needs on a small node."""
+    span assembly (mirror/alias pages at web scale). That pass runs
+    EAGERLY so its hash-shard actors can be killed when it ends (they
+    outlived a lazy pass's dropped Dataset)."""
     if content_dedup:
         from ..stages.dedup import ContentDedupStage, ContentHashShard
         shards = [ContentHashShard.options(num_cpus=0).remote()
                   for _ in range(n_dedup_shards)]
-        pages = pages.map_batches(ContentDedupStage(shards, text_col="html"),
-                                  batch_format="pyarrow", batch_size=256)
+        try:
+            pages = pages.map_batches(
+                ContentDedupStage(shards, text_col="html"),
+                batch_format="pyarrow", batch_size=256).materialize()
+        finally:
+            for a in shards:
+                ray.kill(a)
     return pages.map_batches(SpanAssemblyStage(), batch_format="pyarrow",
                              batch_size=64)
 

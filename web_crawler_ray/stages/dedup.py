@@ -514,7 +514,23 @@ def _fuzzy_host_group(g: pd.DataFrame) -> pd.DataFrame:
     return pd.concat(outs, ignore_index=True) if outs else g.iloc[0:0]
 
 
-def fuzzy_dedup(ds, shuffle: str = "hash"):
+def _add_fuzzy_keys(batch: pa.Table) -> pa.Table:
+    """Append fuzzy_dedup's exchange key (fuzzy_host) and in-host block
+    (fuzzy_block). block_key reads a handful of fields — convert only
+    those columns, not the whole (potentially wide) row."""
+    need = [c for c in ("source_url", "postcode", "postal_code",
+                        "latitude", "longitude", "street_or_city",
+                        "city", "location_address", "address")
+            if c in batch.column_names]
+    cols = {c: batch.column(c).to_pylist() for c in need}
+    keys = [block_key({c: cols[c][i] for c in need})
+            for i in range(batch.num_rows)]
+    hosts = [k.split("|", 1)[0] for k in keys]
+    out = batch.append_column("fuzzy_block", pa.array(keys, pa.string()))
+    return out.append_column("fuzzy_host", pa.array(hosts, pa.string()))
+
+
+def fuzzy_dedup(ds, finish=None):
     """D3 distributed: shuffle keyed by HOST (the crawl's single partition
     key — the reference dedups within one site, crawler.service.js:187-190),
     with postcode/geo-cell/city blocking applied within the host task.
@@ -522,40 +538,22 @@ def fuzzy_dedup(ds, shuffle: str = "hash"):
     budget; a pathological host can be salted into (host, postcode-range)
     sub-shards without changing results because blocks never span salts.
 
-    ``shuffle="hash"`` (default) exchanges via the raw-task hash shuffle
-    (stages/shuffles.py) — the sort-based ``groupby().map_groups`` path
-    (``shuffle="sort"``) costs ~4 s of fixed all-to-all overhead per run
-    at bench scale on these tiny rows. Same output rows either way
-    (asserted in tests): _fuzzy_host_group imposes its own total scan
-    order, so exchange arrival order is invisible.
+    The exchange is the raw-task hash shuffle (stages/shuffles.py; the
+    sort-based ``groupby().map_groups`` cost ~4 s of fixed all-to-all
+    overhead per run on these tiny rows). _fuzzy_host_group imposes its
+    own total scan order, so arrival order and partition count are
+    invisible in the output rows (tests: scalar greedy per host).
+    ``finish`` (pa.Table -> pa.Table, row-wise) runs on the deduplicated
+    rows inside the reduce tasks.
 
-    Execution timing (ADVICE r3): the hash path runs EAGERLY — it
-    materializes the upstream pipeline and submits the split wave at
-    call time, returning a Dataset lazy only over the reduce outputs.
-    Use ``shuffle="sort"`` when the call site needs a fully lazy graph
-    or streaming overlap with upstream stages."""
-    def add_key(batch: pa.Table) -> pa.Table:
-        # block_key reads a handful of fields — convert only those columns,
-        # not the whole (potentially wide) row
-        need = [c for c in ("source_url", "postcode", "postal_code",
-                            "latitude", "longitude", "street_or_city",
-                            "city", "location_address", "address")
-                if c in batch.column_names]
-        cols = {c: batch.column(c).to_pylist() for c in need}
-        keys = [block_key({c: cols[c][i] for c in need})
-                for i in range(batch.num_rows)]
-        hosts = [k.split("|", 1)[0] for k in keys]
-        out = batch.append_column("fuzzy_block", pa.array(keys, pa.string()))
-        return out.append_column("fuzzy_host", pa.array(hosts, pa.string()))
-    if shuffle == "hash":
-        # key derivation rides inside the shuffle's split tasks — no
-        # separate map_batches job for it
-        from .shuffles import hash_map_groups
-        return hash_map_groups(ds, "fuzzy_host", _fuzzy_host_group,
-                               prepare=add_key)
-    return (ds.map_batches(add_key, batch_format="pyarrow")
-              .groupby("fuzzy_host")
-              .map_groups(_fuzzy_host_group, batch_format="pandas"))
+    Execution timing (ADVICE r3): this runs EAGERLY — it materializes
+    the upstream pipeline and submits the split wave at call time,
+    returning a Dataset lazy only over the reduce outputs."""
+    # key derivation rides inside the shuffle's split tasks — no separate
+    # map_batches job for it
+    from .shuffles import hash_map_groups
+    return hash_map_groups(ds, "fuzzy_host", _fuzzy_host_group,
+                           prepare=_add_fuzzy_keys, finish=finish)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Multi-node actor placement for the crawl's stateful pools.
 
-The seen-set shards, frontier keeper actors, and the politeness
-singletons are all tiny-CPU actors created with default placement. On a
+The seen-set shards and frontier keeper actors are zero-CPU actors
+created with default placement. On a
 single node that is irrelevant; on a 256-node cluster the default
 (locality-packed) policy can land every shard on the head node, turning
 the per-round seen-gate and mark fan-outs into one node's RPC queue.
@@ -28,7 +28,7 @@ def spread_enabled() -> bool:
 def spread_opts(**base) -> dict:
     """Actor options with SPREAD scheduling when enabled.
 
-    Usage: ``Cls.options(**spread_opts(num_cpus=0.1)).remote(...)``.
+    Usage: ``Cls.options(**spread_opts(num_cpus=0)).remote(...)``.
     """
     if spread_enabled():
         base["scheduling_strategy"] = "SPREAD"

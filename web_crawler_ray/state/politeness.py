@@ -18,21 +18,22 @@ politeness budget — bit-for-bit reproducible at any parallelism, while
 real wall-clock pacing at production scale is obtained by sizing
 ``round_seconds`` to the actual round wall time.
 
-One actor (or a small pool hash-sharded by host at cluster scale) holds
-all per-host buckets; the crawl driver makes ONE ``grant`` call per
-round covering every host in the round — no per-URL RPC.
+One driver-local object holds all per-host buckets: the crawl driver
+is its only caller, with ONE ``grant`` per round covering every host in
+the round, so it needs no actor process (an actor per crawl put a
+worker start on round 0's critical path).
 """
 
 from __future__ import annotations
 
 import math
 
-import ray
-
 DEFAULT_FIXED_DELAY = 1.0  # crawler.service.js:44,173 — 1000 ms between pages
 
 
-class _PolitenessImpl:
+class Politeness:
+    """Per-host token buckets and failure counts of one crawl."""
+
     def __init__(self, round_seconds: float = 60.0, min_delay: float = 0.3):
         self.round_seconds = round_seconds
         self.min_delay = min_delay
@@ -76,5 +77,3 @@ class _PolitenessImpl:
                         for h, r in self.requests.items()},
         }
 
-
-Politeness = ray.remote(_PolitenessImpl)

@@ -296,8 +296,10 @@ class SeenSet:
                  spill_threshold: int | None = None):
         from .placement import spread_opts
         self.n_shards = n_shards
+        # 0 CPU: a fractional reservation per shard left a 1-CPU node
+        # without the 1 CPU a fetch task needs (the crawl never started)
         self.shards = [
-            SeenShard.options(**spread_opts(num_cpus=0.1)).remote(
+            SeenShard.options(**spread_opts(num_cpus=0)).remote(
                 i, n_buckets_log2, spill_threshold)
             for i in range(n_shards)
         ]
