@@ -23,6 +23,7 @@ the end for BASELINE.md / SCALE.md.
 
 import json
 import resource
+import shutil
 import sys
 import tempfile
 import time
@@ -52,24 +53,27 @@ def main():
     planned = stage.total_pages()
     print(f"planned pages: {planned:,} (expected seen ~= {planned * 8:,})")
 
-    spill_dir = tempfile.mkdtemp(prefix="scale_visited_")
     rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on linux
-    t0 = time.time()
-    res = crawl(None, robots, seeds,
-                max_pages=10 ** 9, max_depth=12, round_seconds=None,
-                keep_pages=False, n_seen_shards=32,
-                seen_buckets_log2=17,  # ~524k slots/shard for ~320k keys
-                seen_spill_threshold=150_000,
-                rank_assign="distributed",
-                fetch_concurrency=cpus,
-                visited_spill_dir=spill_dir,
-                fetch_stage=stage)
-    wall = time.time() - t0
-    rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    spill_dir = tempfile.mkdtemp(prefix="scale_visited_")
+    try:
+        t0 = time.time()
+        res = crawl(None, robots, seeds,
+                    max_pages=10 ** 9, max_depth=12, round_seconds=None,
+                    keep_pages=False, n_seen_shards=32,
+                    seen_buckets_log2=17,  # ~524k slots/shard for ~320k keys
+                    seen_spill_threshold=150_000,
+                    rank_assign="distributed",
+                    fetch_concurrency=cpus,
+                    visited_spill_dir=spill_dir,
+                    fetch_stage=stage)
+        wall = time.time() - t0
+        rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-    import ray.data as rd
-    visited = rd.read_parquet(spill_dir)
-    fetched = visited.count()
+        import ray.data as rd
+        visited = rd.read_parquet(spill_dir)
+        fetched = visited.count()
+    finally:
+        shutil.rmtree(spill_dir, ignore_errors=True)
     stats = res.stats
     shard_stats = stats.get("seen_shards", [])
     seen_total = stats.get("seen")

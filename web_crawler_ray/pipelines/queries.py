@@ -6466,16 +6466,67 @@ _SIGNTEST_SQL = (
 # ---------------------------------------------------------------------------
 
 def registry() -> dict:
+    # crawl parity, dedup, curation and SURVEY §2 rows lead; the rest follow
     return {
+        "crawl_visited": q_crawl_visited,
+        "crawl_seen": q_crawl_seen,
+        "crawl_spans": q_crawl_spans,
+        "crawl_locations": q_crawl_locations,
+        "crawl_extraction_stats": q_crawl_extraction_stats,
+        "crawl_quality_report": q_crawl_quality_report,
+        "dedup_exact": q_dedup_exact,
+        "minhash_dedup": q_minhash_dedup,
+        "jaccard_pairs": q_jaccard_pairs,
+        "simhash": q_simhash,
+        "simhash_pairs": q_simhash_pairs,
+        "simhash_md5": q_simhash_md5,
+        "simhash_pairs_md5": q_simhash_pairs_md5,
+        "fingerprints": q_fingerprints,
+        "fingerprints_md5": q_fingerprints_md5,
+        "near_dup_embeddings": q_near_dup_embeddings,
+        "near_dup_lsh": q_near_dup_lsh,
+        "semantic_dedup": q_semantic_dedup,
+        "training_pipeline": q_training_pipeline,
+        "lang_id": q_lang_id,
+        "doc_quality": q_doc_quality,
+        "token_counts": q_token_counts,
+        "text_stats": q_text_stats,
+        "decontaminate": q_decontaminate,
+        "decontaminate_bloom": q_decontaminate_bloom,
+        "pii_redact": q_pii_redact,
+        "repetition_ratio": q_repetition_ratio,
+        "dup_ngram_stats": q_dup_ngram_stats,
+        "remove_dup_ngrams": q_remove_dup_ngrams,
+        "dedup_segments": q_dedup_segments,
+        "normalize_text": q_normalize_text,
+        "lm_score": q_lm_score,
+        "ann_topk": q_ann_topk,
+        "tfidf_topk": q_tfidf_topk,
+        "bm25": q_bm25,
+        "bpe_vocab": q_bpe_vocab,
+        "bpe_encode": q_bpe_encode,
+        "chunk_documents": q_chunk_documents,
+        "pack_docs": q_pack_docs,
+        "pack_docs_global": q_pack_docs_global,
+        "hash_sample": q_hash_sample,
+        "sample_k": q_sample_k,
+        "stratified_sample": q_stratified_sample,
+        "mixture_sample": q_mixture_sample,
+        "source_cap": q_source_cap,
+        "quantile_filter": q_quantile_filter,
         "filter_events": q_filter_events,
         "groupby_count_lang": q_groupby_count_lang,
         "distinct_sources": q_distinct_sources,
         "topk_orders": q_topk_orders,
         "sort_paginate_events": q_sort_paginate_events,
         "lineitem_summary": q_lineitem_summary,
+        "doc_length_buckets": q_doc_length_buckets,
+        "topk_per_segment": q_topk_per_segment,
+        "union_filters": q_union_filters,
+        "pdf_locations": q_pdf_locations,
+        "media_features": q_media_features,
         "join_orders_customers": q_join_orders_customers,
         "hash_join_orders_nation": q_hash_join_orders_nation,
-        "doc_length_buckets": q_doc_length_buckets,
         "tumbling_events": q_tumbling_events,
         "session_counts": q_session_counts,
         "sliding_events": q_sliding_events,
@@ -6639,19 +6690,12 @@ def registry() -> dict:
         "image_stats": q_image_stats,
         "audio_stats": q_audio_stats,
         "video_frames": q_video_frames,
-        "decontaminate_bloom": q_decontaminate_bloom,
         "heavy_hitters": q_heavy_hitters,
         "connected_components": q_connected_components,
         "pagerank": q_pagerank,
         "crawl_host_rank": q_crawl_host_rank,
         "zscore_events": q_zscore_events,
         "train_split": q_train_split,
-        "lm_score": q_lm_score,
-        "chunk_documents": q_chunk_documents,
-        "pack_docs": q_pack_docs,
-        "pack_docs_global": q_pack_docs_global,
-        "bpe_vocab": q_bpe_vocab,
-        "bpe_encode": q_bpe_encode,
         "pagerank_seeded": q_pagerank_seeded,
         "hits": q_hits,
         "triangle_counts": q_triangle_counts,
@@ -6663,55 +6707,12 @@ def registry() -> dict:
         "intersect_custkeys": q_intersect_custkeys,
         "lag_diff_events": q_lag_diff_events,
         "string_agg_nations": q_string_agg_nations,
-        "decontaminate": q_decontaminate,
-        "pii_redact": q_pii_redact,
-        "repetition_ratio": q_repetition_ratio,
         "vocab_topk": q_vocab_topk,
-        "source_cap": q_source_cap,
-        "mixture_sample": q_mixture_sample,
         "kmeans_clusters": q_kmeans_clusters,
-        "semantic_dedup": q_semantic_dedup,
         "group_centroids": q_group_centroids,
-        "tfidf_topk": q_tfidf_topk,
-        "dup_ngram_stats": q_dup_ngram_stats,
-        "remove_dup_ngrams": q_remove_dup_ngrams,
-        "dedup_segments": q_dedup_segments,
         "pmi_pairs": q_pmi_pairs,
         "dsir_logweights": q_dsir_logweights,
         "winnow_fingerprints": q_winnow_fingerprints,
-        "normalize_text": q_normalize_text,
-        "topk_per_segment": q_topk_per_segment,
-        "union_filters": q_union_filters,
-        "hash_sample": q_hash_sample,
-        "sample_k": q_sample_k,
-        "stratified_sample": q_stratified_sample,
-        "bm25": q_bm25,
-        "quantile_filter": q_quantile_filter,
-        "dedup_exact": q_dedup_exact,
-        "token_counts": q_token_counts,
-        "text_stats": q_text_stats,
-        "ann_topk": q_ann_topk,
-        "near_dup_embeddings": q_near_dup_embeddings,
-        "near_dup_lsh": q_near_dup_lsh,
-        "minhash_dedup": q_minhash_dedup,
-        "training_pipeline": q_training_pipeline,
-        "jaccard_pairs": q_jaccard_pairs,
-        "simhash": q_simhash,
-        "simhash_pairs": q_simhash_pairs,
-        "simhash_md5": q_simhash_md5,
-        "simhash_pairs_md5": q_simhash_pairs_md5,
-        "lang_id": q_lang_id,
-        "fingerprints": q_fingerprints,
-        "fingerprints_md5": q_fingerprints_md5,
-        "doc_quality": q_doc_quality,
-        "media_features": q_media_features,
-        "pdf_locations": q_pdf_locations,
-        "crawl_visited": q_crawl_visited,
-        "crawl_locations": q_crawl_locations,
-        "crawl_spans": q_crawl_spans,
-        "crawl_seen": q_crawl_seen,
-        "crawl_extraction_stats": q_crawl_extraction_stats,
-        "crawl_quality_report": q_crawl_quality_report,
     }
 
 

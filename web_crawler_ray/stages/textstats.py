@@ -357,27 +357,6 @@ _B = 1_000_003
 _MOD = (1 << 61) - 1
 
 
-def rolling_fingerprint(text: str, window: int = 8) -> int:
-    """Document fingerprint: min of Rabin-Karp rolling hashes over word
-    windows (winnowing-lite; order-sensitive, whitespace-insensitive)."""
-    words = _WORD_RE.findall((text or "").lower())
-    if not words:
-        return 0
-    hs = [hash(w) & 0xFFFFFFFF for w in words]  # per-word base hash
-    if len(hs) < window:
-        window = len(hs)
-    pw = pow(_B, window - 1, _MOD)
-    cur = 0
-    for i in range(window):
-        cur = (cur * _B + hs[i]) % _MOD
-    best = cur
-    for i in range(window, len(hs)):
-        cur = ((cur - hs[i - window] * pw) * _B + hs[i]) % _MOD
-        if cur < best:
-            best = cur
-    return best
-
-
 def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     import hashlib
 
