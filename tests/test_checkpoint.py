@@ -106,6 +106,30 @@ def test_resume_equals_uninterrupted(tmp_path):
         assert resumed.visited.num_rows == tail.num_rows, seed
 
 
+def test_resume_without_next_seq_raises(tmp_path):
+    """A checkpoint whose metrics.json lacks next_seq cannot be resumed
+    exactly (inferring it from the frontier can reuse seqs): resume
+    raises instead of guessing."""
+    import json
+
+    import pytest
+    tbl, robots, seeds = W.world(seed=11, n_hosts=3, pages_per_host_base=12)
+    ck = str(tmp_path / "ckpt")
+    crawl(tbl, robots, seeds, max_pages=60, max_depth=2, round_seconds=5.0,
+          checkpoint_dir=ck, keep_pages=False)
+    last = max(int(d.split("=")[1]) for d in os.listdir(ck))
+    mpath = os.path.join(ck, f"round={last}", "metrics.json")
+    with open(mpath) as f:
+        metric = json.load(f)
+    del metric["next_seq"]
+    with open(mpath, "w") as f:
+        json.dump(metric, f)
+    assert resume_info(ck)["next_seq"] is None
+    with pytest.raises(ValueError, match="next_seq"):
+        crawl(tbl, robots, seeds, max_pages=60, max_depth=2,
+              round_seconds=5.0, resume_from=ck, keep_pages=False)
+
+
 def test_cap_final_round_links_enter_seen():
     """Reference enqueues the final fetched pages' links into the seen set
     before exiting (site-crawler:163-168) — engine must match the oracle

@@ -203,6 +203,37 @@ def test_crawl_with_seen_spill_matches_unspilled(small_world):
     assert b[2]["seen"] == a[2]["seen"]  # cardinality includes spilled keys
 
 
+def test_round_seen_metric_counts_inserted_keys(small_world, tmp_path):
+    """metrics[i]['seen'] is the driver's running count (seeds + each
+    round's fresh keys), not a shard RPC: every round it equals the
+    checkpointed seen deltas so far, and the last round equals the
+    shards' own count — with and without a bloom spill."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+    tbl, robots, seeds, _ = small_world
+    for spill in (None, 10):
+        ck = str(tmp_path / f"ck{spill}")
+        res = crawl(tbl, robots, seeds, keep_pages=False, max_pages=120,
+                    max_depth=3, round_seconds=4.0, checkpoint_dir=ck,
+                    seen_spill_threshold=spill)
+        n = 0
+        for m in res.metrics:
+            d = os.path.join(ck, f"round={m['round']}")
+            n += pq.read_table(os.path.join(d, "seen_delta.parquet")).num_rows
+            assert m["seen"] == n, (spill, m["round"])
+            with open(os.path.join(d, "metrics.json")) as f:
+                assert json.load(f)["seen"] == n
+        assert res.metrics[-1]["seen"] == res.stats["seen"], spill
+        spilled = sum(m["spilled_keys"] for m in res.stats["seen_shards"])
+        if spill is None:
+            assert spilled == 0
+            assert res.stats["seen"] == len(res.seen_snapshot)
+        else:
+            assert spilled > 0
+
+
 def test_hot_host_world_distributed_ranks_full_parity(ray_session, monkeypatch):
     """VERDICT r3 #7: a FULL crawl on a 1-host-dominant world (skew=3.0:
     host 0 holds ~an order of magnitude more pages than the rest) with

@@ -52,15 +52,13 @@ def test_content_dedup_documents():
     assert len(no_dedup) == 5
 
 
-def _settled_cpu() -> float:
-    """Available CPU once the resource view stops changing (actor and
-    task teardown is reported asynchronously)."""
+def _settled(read):
+    """``read()`` once it stops changing (actor and task teardown is
+    reported asynchronously)."""
     import time
-
-    import ray
     last, deadline = None, time.time() + 15
     while time.time() < deadline:
-        cur = ray.available_resources().get("CPU", 0.0)
+        cur = read()
         if cur == last:
             return cur
         last = cur
@@ -68,13 +66,18 @@ def _settled_cpu() -> float:
     return last
 
 
+def _cpu() -> float:
+    import ray
+    return ray.available_resources().get("CPU", 0.0)
+
+
 def _live_content_shards() -> int:
-    """ContentHashShard actors alive on the node, read from the GCS
-    (ray.util.state.list_actors needs the dashboard, which the test
-    session does not start)."""
+    """Hash-set shard actors (ContentHashShard is SeenShard) alive on the
+    node, read from the GCS (ray.util.state.list_actors needs the
+    dashboard, which the test session does not start)."""
     import ray._private.state as gcs
     return sum(1 for a in gcs.actors().values()
-               if a["ActorClassName"] == "_ContentHashShardImpl"
+               if a["ActorClassName"] == "_SeenShardImpl"
                and a["State"] == "ALIVE")
 
 
@@ -93,12 +96,12 @@ def test_content_dedup_releases_cpu(ray_session):
         "url": [f"https://h.example/m{i}" for i in range(3)],
         "html": [html] * 3}))
     gc.collect()
-    before = _settled_cpu(), _live_content_shards()
+    before = _settled(_cpu), _settled(_live_content_shards)
     docs = assemble_documents(pages, content_dedup=True).materialize()
     assert docs.count() == 1
     del docs
     gc.collect()
-    assert (_settled_cpu(), _live_content_shards()) == before
+    assert (_settled(_cpu), _settled(_live_content_shards)) == before
 
 
 @pytest.mark.parametrize("fuzzy", [True, False])

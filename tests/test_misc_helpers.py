@@ -1,7 +1,6 @@
 """Remaining helper coverage: A6 bulk summary, storage dataset round-trip,
 politeness implied API, hashing stability."""
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
@@ -22,8 +21,6 @@ def test_hash64_stability_and_vector():
     col = H.hash64_column(pa.array(["a", None, "b"]))
     assert col[0].as_py() == int(many[0])
     assert col[1].as_py() == 0  # nulls -> 0
-    fp = H.fingerprint16(np.array([0, 1 << 48], dtype=np.uint64))
-    assert fp[0] == 1  # 0 remapped (fingerprint 0 = empty slot)
 
 
 def test_bulk_summary():

@@ -1,4 +1,4 @@
-"""Window operators (stream-shaped) + cuckoo-filter seen-set properties."""
+"""Window operators (stream-shaped) + seen-set shard properties."""
 
 import numpy as np
 import pandas as pd
@@ -6,7 +6,7 @@ import pyarrow as pa
 import ray.data as rd
 from hypothesis import given, settings, strategies as st
 
-from web_crawler_ray.state.seen import CuckooFilter, _SeenShardImpl
+from web_crawler_ray.state.seen import _SeenShardImpl
 from web_crawler_ray.stages import windows as WIN
 
 
@@ -46,25 +46,8 @@ def test_sliding_window():
     assert out["n_events"].sum() == 2 * len(_events_df())
 
 
-def test_cuckoo_no_false_negatives():
-    cf = CuckooFilter(n_buckets_log2=10)
-    rng = np.random.default_rng(5)
-    keys = rng.integers(0, 1 << 63, size=2000, dtype=np.int64).astype(np.uint64)
-    cf.insert_many(keys)
-    assert cf.contains_many(keys).all()  # NO false negatives, even with kicks
-
-
-def test_cuckoo_overflow_path_still_no_false_negatives():
-    cf = CuckooFilter(n_buckets_log2=4, max_kicks=20)  # 64 slots, force overflow
-    rng = np.random.default_rng(6)
-    keys = rng.integers(0, 1 << 63, size=300, dtype=np.int64).astype(np.uint64)
-    cf.insert_many(keys)
-    assert len(cf.overflow) > 0  # spill tier exercised
-    assert cf.contains_many(keys).all()
-
-
 def test_seen_shard_check_and_add():
-    sh = _SeenShardImpl(0, n_buckets_log2=8)
+    sh = _SeenShardImpl()
     a = np.array([1, 2, 3], dtype=np.uint64)
     assert sh.check_and_add(a).all()
     assert not sh.check_and_add(a).any()      # idempotent: all already seen
@@ -74,15 +57,40 @@ def test_seen_shard_check_and_add():
     assert sh.cardinality() == 4
 
 
+def test_seen_shard_repeated_key_in_batch_stored_once():
+    """A hash repeated within one batch is NEW at both positions (neither
+    was seen before the batch) and stored once."""
+    sh = _SeenShardImpl()
+    sh.check_and_add(np.array([9], dtype=np.uint64))
+    got = sh.check_and_add(np.array([5, 9, 5, 7], dtype=np.uint64))
+    assert list(got) == [True, False, True, True]
+    assert list(sh.snapshot()) == [5, 7, 9]
+    assert sh.cardinality() == 3
+    assert not sh.check_and_add(np.array([5], dtype=np.uint64)).any()
+
+
+def test_seen_shard_exact_tier_is_8_bytes_per_key():
+    sh = _SeenShardImpl()
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        sh.check_and_add(rng.integers(0, 1 << 63, size=500,
+                                      dtype=np.int64).astype(np.uint64))
+    m = sh.memory_stats()
+    assert m["exact_keys"] == 1500
+    assert m["exact_bytes"] == 8 * m["exact_keys"]
+    assert m["bloom_bytes"] == 0 and m["spilled_keys"] == 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
                 min_size=1, max_size=200))
 def test_seen_shard_equals_python_set(keys):
     """Shard semantics == plain set semantics for any insertion sequence."""
-    sh = _SeenShardImpl(0, n_buckets_log2=6)
+    sh = _SeenShardImpl()
     ref: set[int] = set()
     arr = np.array(keys, dtype=np.uint64)
-    # feed in chunks with intra-chunk duplicates removed (the caller contract)
+    # feed in chunks with intra-chunk duplicates removed (repeats: see
+    # test_seen_shard_repeated_key_in_batch_stored_once)
     for i in range(0, len(arr), 37):
         chunk = arr[i:i + 37]
         _, idx = np.unique(chunk, return_index=True)
@@ -112,7 +120,7 @@ def test_bloom_no_false_negatives():
 def test_seen_shard_spill_to_bloom():
     """Spilled shard keeps the no-false-negative contract: previously seen
     keys are never reported NEW after the exact set spills to bloom."""
-    sh = _SeenShardImpl(0, n_buckets_log2=12, spill_threshold=100)
+    sh = _SeenShardImpl(spill_threshold=100)
     rng = np.random.default_rng(8)
     all_keys = rng.integers(0, 1 << 63, size=600, dtype=np.int64).astype(np.uint64)
     for i in range(0, 600, 50):
@@ -126,7 +134,7 @@ def test_seen_shard_spill_to_bloom():
 def test_seen_shard_spill_cardinality_and_contains():
     """After a spill, cardinality counts spilled keys and contains() still
     has no false negatives (probes the bloom tier)."""
-    sh = _SeenShardImpl(0, n_buckets_log2=12, spill_threshold=100)
+    sh = _SeenShardImpl(spill_threshold=100)
     rng = np.random.default_rng(9)
     keys = rng.integers(0, 1 << 63, size=400, dtype=np.int64).astype(np.uint64)
     for i in range(0, 400, 50):

@@ -60,7 +60,6 @@ def main():
         res = crawl(None, robots, seeds,
                     max_pages=10 ** 9, max_depth=12, round_seconds=None,
                     keep_pages=False, n_seen_shards=32,
-                    seen_buckets_log2=17,  # ~524k slots/shard for ~320k keys
                     seen_spill_threshold=150_000,
                     rank_assign="distributed",
                     fetch_concurrency=cpus,
@@ -80,7 +79,6 @@ def main():
     mem = {
         "exact_keys": sum(s["exact_keys"] for s in shard_stats),
         "spilled_keys": sum(s["spilled_keys"] for s in shard_stats),
-        "cuckoo_mb": round(sum(s["cuckoo_bytes"] for s in shard_stats) / 2**20, 1),
         "bloom_mb": round(sum(s["bloom_bytes"] for s in shard_stats) / 2**20, 1),
         "exact_mb": round(sum(s["exact_bytes"] for s in shard_stats) / 2**20, 1),
         "spilled_shards": sum(1 for s in shard_stats if s["spilled_keys"] > 0),

@@ -8,7 +8,7 @@ expressed Ray-Data-first:
   batches for every per-document transform (extractors, normalizers,
   classifiers, span assembly);
 - stateful actor pools for the crawl front-end state (sharded URL-seen
-  cuckoo filters, per-host politeness token buckets, robots cache,
+  set: sorted uint64 hash arrays with a bloom spill tier, shared by the
   content-hash dedup service);
 - ``groupby`` / ``sort`` shuffles only where semantics require them
   (frontier ordering, canonical-key dedup, blocked fuzzy dedup), always

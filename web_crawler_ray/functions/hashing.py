@@ -76,10 +76,3 @@ def hash64_column(col: pa.ChunkedArray | pa.Array) -> pa.Array:
 def content_hash(text: str) -> int:
     """64-bit content hash used by the content-hash dedup service."""
     return hash64(text)
-
-
-def fingerprint16(h: np.ndarray) -> np.ndarray:
-    """16-bit cuckoo-filter fingerprints from 64-bit hashes (never 0)."""
-    fp = ((h >> np.uint64(48)) & np.uint64(0xFFFF)).astype(np.uint16)
-    fp[fp == 0] = 1
-    return fp

@@ -619,8 +619,7 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
           visited_spill_dir: str | None = None,
           rank_assign: str = "auto",
           rank_gather_limit: int = 4_000_000,
-          fetch_stage=None,
-          seen_buckets_log2: int = 14) -> CrawlResult:
+          fetch_stage=None) -> CrawlResult:
     """Run the round-based BFS. ``pages_store`` must be sorted by url_hash
     (pass ``None`` with ``fetcher="http"``); a ``PageStoreShards`` from
     ``put_page_store`` is used as is, a plain table is sharded here.
@@ -656,14 +655,18 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
     count restored; earlier rounds' pages are already on disk there).
     The resumed run's fetch order is exactly the rounds the interrupted
     run would have executed next (tests/test_checkpoint.py asserts
-    capped-run + resumed-run ≡ one uninterrupted run).
+    capped-run + resumed-run ≡ one uninterrupted run). A checkpoint
+    whose metrics.json lacks ``next_seq`` raises ``ValueError``.
 
-    ``seen_spill_threshold``: per-shard exact-tier RAM bound; past it
-    keys spill to a bloom tier (no false negatives — crawl order is
-    unchanged). CONTRACT: after a spill ``CrawlResult.seen_snapshot``
-    is partial (spilled keys are queryable, not enumerable; a warning
-    is logged) while ``stats['seen']`` still counts them; resume stays
-    exact because checkpoints persist per-round seen DELTAS.
+    ``seen_spill_threshold``: per-shard exact-tier key bound (the exact
+    tier is a sorted uint64 array, 8 B/key); past it keys spill to a
+    bloom tier (no false negatives, so nothing is re-crawled; a bloom
+    false positive skips a new URL). CONTRACT: after a spill
+    ``CrawlResult.seen_snapshot`` is partial (spilled keys are
+    queryable, not enumerable; a warning is logged) while
+    ``stats['seen']`` and each round's ``metrics[i]['seen']`` (a driver
+    running count of inserted keys, no shard RPC) still count them;
+    resume stays exact because checkpoints persist per-round seen DELTAS.
 
     ``visited_spill_dir``: bound the driver's visited-table RAM — each
     round's visited metadata is written to
@@ -696,13 +699,11 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
             if not isinstance(pages_store, PageStoreShards):
                 pages_store = put_page_store(pages_store)
             fetch_stage = FetchStage(pages_store)
-    # size the per-shard cuckoo for expected keys/shard: capacity is
-    # 4 * 2^seen_buckets_log2 slots at ~95% load; an UNDERSIZED filter
-    # degrades every insert into the max-kick loop + overflow set (a
-    # silent cliff measured at ~100x on a 10^7-key run) — SCALE.md
-    seen = SeenSet(n_shards=n_seen_shards,
-                   n_buckets_log2=seen_buckets_log2,
-                   spill_threshold=seen_spill_threshold)
+    info = resume_info(resume_from) if resume_from else None
+    if info is not None and info["next_seq"] is None:
+        raise ValueError(f"checkpoint {resume_from!r} has no next_seq in "
+                         "its metrics.json; it cannot be resumed")
+    seen = SeenSet(n_shards=n_seen_shards, spill_threshold=seen_spill_threshold)
     politeness = Politeness(
         round_seconds if round_seconds is not None else float("inf"))
     # robots rules are static per crawl: every explicit crawl-delay is
@@ -710,25 +711,19 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
     politeness.set_delays(
         RobotsIndex(robots_by_host).delays(list(robots_by_host)))
 
-    info = resume_info(resume_from) if resume_from else None
     round_delta: list[np.ndarray] = []  # hashes newly seen this round (checkpoint delta)
     if info is not None:
         frontier = info["frontier"]
         seen.bulk_add(info["seen"])
+        n_seen = len(info["seen"])
         n_fetched = info["fetched"]
         rnd = info["round"] + 1
-        if info.get("next_seq") is not None:
-            next_seq = int(info["next_seq"])
-        else:  # legacy checkpoint without next_seq: infer (can reuse seqs
-            # when the max-seq entry was fetched in the last round — new
-            # checkpoints always persist next_seq in metrics.json)
-            seqs = frontier.column("discovery_seq")
-            next_seq = int(pc.max(seqs).as_py()) + 1 if frontier.num_rows else 0
+        next_seq = int(info["next_seq"])
     else:
         # seed the frontier (enqueue-time seen insertion, reference :136).
-        # First-seen dedup of the canonical seeds BEFORE hashing: the seen
-        # shards' check_and_add contract requires within-batch-unique input,
-        # and the oracle's `canon in seen: continue` skips dup seeds too.
+        # First-seen dedup of the canonical seeds BEFORE hashing: a repeated
+        # key is NEW at every position of one check_and_add batch, and the
+        # oracle's `canon in seen: continue` skips dup seeds.
         s_urls, s_hosts = [], []
         seed_local: set[str] = set()
         for s in seeds:
@@ -743,7 +738,7 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
         frontier = _frontier_table(
             [s_urls[i] for i in keep], [s_hosts[i] for i in keep],
             [0] * len(keep), list(range(len(keep))))
-        next_seq = len(keep)
+        next_seq = n_seen = len(keep)
         n_fetched = 0
         rnd = 0
         round_delta.append(s_hashes[keep])  # seeds enter the round-0 delta
@@ -754,7 +749,7 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
     # every round (robots_cache.local_check; decisions bit-identical)
     return _crawl_rounds_dataset(
         fetch_stage, RobotsGate(ray.put(robots_by_host)), seen, politeness,
-        frontier, next_seq, n_fetched, rnd, round_delta, max_pages,
+        frontier, next_seq, n_seen, n_fetched, rnd, round_delta, max_pages,
         max_depth, checkpoint_dir, keep_pages, backoff, order, page_hook,
         fetch_concurrency, visited_spill_dir, rank_assign,
         rank_gather_limit)
@@ -783,7 +778,7 @@ def _host_counts(arr) -> dict:
 
 
 def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
-                          frontier_tbl: pa.Table, next_seq: int,
+                          frontier_tbl: pa.Table, next_seq: int, n_seen: int,
                           n_fetched: int, rnd: int, round_delta: list,
                           max_pages: int, max_depth: int,
                           checkpoint_dir: str | None, keep_pages: bool,
@@ -1019,6 +1014,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
         _ph("reduce_wait")
         flens = np.array([i["n"] if i else 0 for i in rinfo], dtype=np.int64)
         n_fresh = int(flens.sum())
+        n_seen += n_fresh  # every fresh row is a key the shards inserted
         add_per_bucket: list[list] = [[] for _ in range(K)]
         if n_fresh:
             if dist_fresh:
@@ -1070,7 +1066,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
         metrics.append({"round": rnd, "stage": "fetch", "rows_in": rows_in,
                         "rows_out": int(meta.num_rows),
                         "frontier_next": int(sum(counts.values())),
-                        "seen": seen.cardinality(),
+                        "seen": n_seen,
                         "n_hosts": len(per_host),
                         "next_seq": next_seq,
                         "per_host": per_host})
@@ -1094,8 +1090,10 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     visited = (pa.concat_tables(visited_parts) if visited_parts
                else _EMPTY_VISITED)
     pages = rd.from_arrow_refs(page_refs) if page_refs else None
-    stats = {"fetched": n_fetched, "rounds": rnd, "seen": seen.cardinality(),
-             "seen_shards": seen.memory_stats(),
+    seen_shards = seen.memory_stats()
+    stats = {"fetched": n_fetched, "rounds": rnd,
+             "seen": sum(m["exact_keys"] + m["spilled_keys"] for m in seen_shards),
+             "seen_shards": seen_shards,
              "politeness": politeness.get_all_stats()}
     _ph("final")
     stats["driver_phases"] = {k: round(v, 3) for k, v in phases.items()}

@@ -13,7 +13,8 @@ Crawl-side (reference semantics):
   on fixtures in tests).
 - D4 cross-page squashed-address dedup (crawler.service.js:206-235)
 - Content-hash dedup service: stateful actor-pool stage (north star) —
-  exact content hashes checked/inserted across partitions.
+  exact content hashes checked/inserted across partitions in the same
+  shard actors as the URL-seen set (state/seen.py).
 
 Training-data (documents table, 100 TB path):
 - exact_dedup: hash -> groupby -> first (hash-partition, no data skew:
@@ -37,12 +38,15 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
+from ..functions.hashing import hash64_many
 from ..functions.normalize import (
     canonical_key, dedup_norm_enhanced, dedup_norm_postcode, haversine_km,
     levenshtein_ratio, levenshtein_ratio_many, squash_address,
 )
+from ..state.seen import SeenShard, scatter_check_and_add
 
 def _seq_sort(g: pd.DataFrame) -> pd.DataFrame:
     """Deterministic scan order for order-dependent dedups: global page
@@ -690,24 +694,8 @@ def dedup_cross_page(ds, addr_col: str = "location_address"):
 # Content-hash dedup service — stateful actor-pool stage (north star)
 # ---------------------------------------------------------------------------
 
-class _ContentHashShardImpl:
-    """Exact content-hash set shard; same check_and_add contract as SeenShard."""
-
-    def __init__(self):
-        self.seen: set[int] = set()
-
-    def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(hashes), dtype=bool)
-        s = self.seen
-        for i, h in enumerate(np.asarray(hashes, dtype=np.uint64)):
-            hi = int(h)
-            if hi not in s:
-                s.add(hi)
-                out[i] = True
-        return out
-
-
-ContentHashShard = ray.remote(_ContentHashShardImpl)
+# the content-hash set is the URL-seen shard keyed on content hashes
+ContentHashShard = SeenShard
 
 
 class ContentDedupStage:
@@ -726,28 +714,12 @@ class ContentDedupStage:
         self.text_col = text_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_col).to_pylist()
-        h = np.empty(len(texts), dtype=np.uint64)
-        for i, t in enumerate(texts):
-            h[i] = int.from_bytes(
-                hashlib.blake2b((t or "").encode(), digest_size=8).digest(), "big")
-        n_shards = len(self.shards)
-        sid = (h % np.uint64(n_shards)).astype(np.int64)
+        texts = pc.fill_null(batch.column(self.text_col).cast(pa.string()), "")
+        h = hash64_many(texts.to_pylist())
+        # within the batch the first occurrence of a hash is the candidate
+        _, first = np.unique(h, return_index=True)
         keep = np.zeros(len(h), dtype=bool)
-        futs, idxs = [], []
-        for s in range(n_shards):
-            ix = np.flatnonzero(sid == s)
-            if len(ix):
-                # dedup within batch deterministically (first occurrence wins)
-                futs.append(self.shards[s].check_and_add.remote(h[ix]))
-                idxs.append(ix)
-        for ix, mask in zip(idxs, ray.get(futs)):
-            first = {}
-            hh = h[ix]
-            for k in range(len(ix)):
-                if mask[k] and int(hh[k]) not in first:
-                    first[int(hh[k])] = True
-                    keep[ix[k]] = True
+        keep[first] = scatter_check_and_add(self.shards, h[first])
         return batch.filter(pa.array(keep))
 
 
@@ -1171,7 +1143,6 @@ def drop_duplicates_by_pairs(ds, pairs, id_col: str = "doc_id",
         return drop_ids(ds, set(node[node != comp].tolist()), id_col)
     # distributed path: (node != component) rows are the drops; remove
     # them with the shuffled anti-join — one keyed exchange, no driver.
-    import pyarrow.compute as pc
     from .relational import semi_join_shuffled
 
     def _drops(t: pa.Table) -> pa.Table:
