@@ -71,12 +71,21 @@ def test_resume_info_empty(tmp_path):
 def test_resume_equals_uninterrupted(tmp_path):
     """capped/interrupted run + resumed run ≡ one uninterrupted run:
     resumed fetch order continues exactly, final seen sets equal — on
-    three worlds, each cut at its middle checkpoint round."""
+    three worlds, each cut at its middle checkpoint round. A prior crawl
+    leaves its cleared shards in the session pool, so every crawl here,
+    each resume included, runs on reused shards."""
     import shutil
 
     import numpy as np
     import pyarrow as pa
+    from web_crawler_ray.state import seen as S
 
+    def pooled():
+        return [[a._actor_id.hex() for a in free]
+                for lists in S._SHARD_POOLS.values() for free in lists]
+
+    crawl(*W.world(seed=5, n_hosts=3, pages_per_host_base=10),
+          keep_pages=False)
     for seed, n_hosts, base in ((21, 4, 16), (31, 3, 14), (37, 3, 12)):
         tbl, robots, seeds = W.world(seed=seed, n_hosts=n_hosts,
                                      pages_per_host_base=base)
@@ -91,7 +100,9 @@ def test_resume_equals_uninterrupted(tmp_path):
         for r in rounds:
             if r > k:
                 shutil.rmtree(os.path.join(ck, f"round={r}"))
+        before = pooled()
         resumed = crawl(tbl, robots, seeds, resume_from=ck, **kw)
+        assert pooled() == before != [], seed  # leased and handed back
         # fetch order of resumed == uninterrupted rounds > k
         fv = full.visited
         tail = fv.filter(pa.compute.greater(fv.column("round"), k))

@@ -340,6 +340,175 @@ def test_reduce_candidates_is_not_idempotent(ray_session):
     assert _reduce_candidates._default_options.get("max_retries") == 0
 
 
+def _ids(shards) -> list[str]:
+    return [a._actor_id.hex() for a in shards]
+
+
+def _pooled(n_shards: int) -> list[list[str]]:
+    """Actor ids of the free shard lists the session pool holds for
+    ``n_shards``, in pool order."""
+    from web_crawler_ray.state import seen as S
+    return [_ids(free) for key, lists in S._SHARD_POOLS.items()
+            if key[2:] == (n_shards,) for free in lists]
+
+
+def _shard_actors_created() -> int:
+    """_SeenShardImpl actors the GCS has ever recorded, dead or alive."""
+    import ray._private.state as gcs
+    return sum(1 for a in gcs.actors().values()
+               if a["ActorClassName"] == "_SeenShardImpl")
+
+
+_POOL_KW = dict(max_pages=120, max_depth=3, round_seconds=4.0,
+                n_seen_shards=3)
+
+
+def test_crawls_in_one_session_reuse_pooled_shards(small_world):
+    """Consecutive crawls lease the same shard actors from the session
+    pool, and each still equals the oracle."""
+    tbl, robots, seeds, by_url = small_world
+    kw = {k: v for k, v in _POOL_KW.items() if k != "n_seen_shards"}
+    o_order, o_seen, _ = oracle_crawl(by_url, robots, seeds, **kw)
+    pooled = []
+    for _ in range(3):
+        e_order, e_seen, _ = _run_engine(tbl, robots, seeds, **_POOL_KW)
+        assert e_order == o_order
+        assert np.array_equal(e_seen, np.array(o_seen, dtype=np.uint64))
+        pooled.append(_pooled(3))
+    assert len(pooled[0]) == 1 and len(pooled[0][0]) == 3
+    assert pooled[0] == pooled[1] == pooled[2]
+
+
+def test_pooled_shards_forget_a_spilled_crawl(small_world):
+    """A crawl that spilled every shard to the bloom tier hands its
+    shards back clean: the next crawl on them spills nothing, holds no
+    bloom, and equals the oracle."""
+    tbl, robots, seeds, by_url = small_world
+    spilled = crawl(tbl, robots, seeds, keep_pages=False,
+                    seen_spill_threshold=10, **_POOL_KW)
+    assert sum(m["spilled_keys"] for m in spilled.stats["seen_shards"]) > 0
+    pooled = _pooled(3)
+    e_order, e_seen, e_stats = _run_engine(tbl, robots, seeds, **_POOL_KW)
+    assert _pooled(3) == pooled  # the same actors ran the second crawl
+    assert all(m["spilled_keys"] == 0 and m["bloom_bytes"] == 0
+               for m in e_stats["seen_shards"])
+    kw = {k: v for k, v in _POOL_KW.items() if k != "n_seen_shards"}
+    o_order, o_seen, _ = oracle_crawl(by_url, robots, seeds, **kw)
+    assert e_order == o_order
+    assert np.array_equal(e_seen, np.array(o_seen, dtype=np.uint64))
+
+
+def test_warm_crawls_create_no_shard_actor(small_world):
+    """After a warm-up crawl, further crawls in the session start no
+    new shard actor (counted in the GCS actor table)."""
+    tbl, robots, seeds, _ = small_world
+    _run_engine(tbl, robots, seeds, **_POOL_KW)
+    created = _shard_actors_created()
+    for _ in range(3):
+        _run_engine(tbl, robots, seeds, **_POOL_KW)
+    assert _shard_actors_created() == created
+
+
+def test_live_seen_sets_share_no_shard(ray_session):
+    """Two live SeenSets lease disjoint actors; a released set's actors
+    go back to the pool empty and are leased again, still disjoint
+    from the set that was never released."""
+    import ray
+    from web_crawler_ray.state.seen import SeenSet
+    a, b = SeenSet(n_shards=2), SeenSet(n_shards=2)
+    assert not set(_ids(a.shards)) & set(_ids(b.shards))
+    a.check_and_add(np.arange(1, 100, dtype=np.uint64))
+    b.check_and_add(np.arange(1, 100, dtype=np.uint64))
+    leased = _ids(a.shards)
+    handles = list(a.shards)
+    a.release()
+    assert a.shards == [] and leased in _pooled(2)
+    # an idle pooled shard holds no keys
+    assert all(m["exact_keys"] == m["spilled_keys"] == 0 for m in
+               ray.get([s.memory_stats.remote() for s in handles]))
+    c = SeenSet(n_shards=2)
+    assert _ids(c.shards) == leased and c.cardinality() == 0
+    assert not set(_ids(c.shards)) & set(_ids(b.shards))
+    assert b.cardinality() == 99
+    c.release()
+    b.release()
+
+
+def test_concurrent_leases_never_share_shards(ray_session):
+    """Threads leasing and releasing SeenSets at once each see only
+    their own keys: no shard is held by two live sets."""
+    import sys
+    import threading
+    from web_crawler_ray.state.seen import SeenSet
+    errors = []
+
+    def work(t):
+        try:
+            for i in range(4):
+                s = SeenSet(n_shards=2)
+                keys = np.arange(1, 51, dtype=np.uint64) + np.uint64(t * 1000 + i * 100)
+                assert s.check_and_add(keys).all()
+                assert s.cardinality() == 50
+                s.release()
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(3)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+
+
+def test_unreleased_seen_sets_are_not_pooled(small_world):
+    """A SeenSet whose shards were killed, and a crawl that raised in
+    round 1, give nothing back to the pool; the next crawl still equals
+    the oracle."""
+    import ray
+    from web_crawler_ray.pipelines.crawl import FetchStage, put_page_store
+    from web_crawler_ray.state.seen import SeenSet
+    tbl, robots, seeds, by_url = small_world
+    kw = dict(max_pages=60, max_depth=2, round_seconds=None)
+    _run_engine(tbl, robots, seeds, n_seen_shards=2, **kw)
+    pooled = _pooled(2)
+    s = SeenSet(n_shards=2)
+    assert _ids(s.shards) == pooled[-1]
+    for a in s.shards:
+        ray.kill(a)
+    del s
+    assert _pooled(2) == pooled[:-1]
+
+    class FailPastSeeds:
+        """Fetches round 0 (the seeds); raises on any deeper page."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __call__(self, batch):
+            if (np.asarray(batch.column("depth")) > 0).any():
+                raise RuntimeError("round-1 fetch failed")
+            return self.inner(batch)
+
+    pooled = _pooled(2)
+    with pytest.raises(Exception, match="round-1 fetch failed"):
+        crawl(tbl, robots, seeds, keep_pages=False, n_seen_shards=2,
+              fetch_stage=FailPastSeeds(FetchStage(put_page_store(tbl))),
+              **kw)
+    assert _pooled(2) == pooled[:-1]
+    o_order, o_seen, _ = oracle_crawl(by_url, robots, seeds, **kw)
+    e_order, e_seen, _ = _run_engine(tbl, robots, seeds, n_seen_shards=2,
+                                     **kw)
+    assert e_order == o_order
+    assert np.array_equal(e_seen, np.array(o_seen, dtype=np.uint64))
+
+
 def test_order_key_overflow_raises_not_asserts():
     """ADVICE r3: the uint64 order-key bound checks must survive
     `python -O` — they are explicit ValueError raises, not asserts."""

@@ -149,3 +149,77 @@ def test_body_pattern_prefilters_are_supersets():
         for t in texts:
             if pre.search(t) is None:
                 assert rx.search(t) is None, (rx.pattern, t)
+
+
+def _rows_from_full_extraction(doc, html, url):
+    """advanced_location_rows as first written: every email and phone of
+    the page via full_extraction, then [0] of each."""
+    res = A.full_extraction(doc, html, url)
+    first_email = res["emails"][0] if res["emails"] else ""
+    first_phone = res["phones"][0] if res["phones"] else ""
+    rows = []
+    for org in res["structuredData"]:
+        addr = org["address"] or {}
+        rows.append({
+            "name": org["name"], "address": addr.get("text") or "",
+            "street": addr.get("streetAddress") or "",
+            "city": addr.get("addressLocality") or "",
+            "state": addr.get("addressRegion") or "",
+            "postal_code": addr.get("postalCode") or "",
+            "country": addr.get("addressCountry") or "",
+            "latitude": "", "longitude": "",
+            "phone": org["phone"], "email": org["email"],
+            "source_url": url, "extraction_method": "advanced",
+            "confidence": 0.85})
+    for a in res["addresses"]:
+        if a["source"] == "json-ld":
+            continue
+        rows.append({
+            "name": "", "address": a.get("text") or "", "street": "",
+            "city": "", "state": "",
+            "postal_code": a["pins"][0]["code"] if a["pins"] else "",
+            "country": "", "latitude": "", "longitude": "",
+            "phone": first_phone, "email": first_email,
+            "source_url": url, "extraction_method": "advanced",
+            "confidence": 0.85})
+    return rows
+
+
+def test_advanced_rows_equal_full_extraction_first_contacts():
+    """The lazy first-email / first-phone scan gives the rows that
+    full_extraction's complete lists give, on every page of a small v1
+    and a small v2 world and on a page whose emails and phones come from
+    several sources (the worlds' pages carry no email)."""
+    from web_crawler_ray.sources import synth_world as W
+    html = """<html><body>
+    <p> logo@x.png call 0 98765 43210 or +1 (415) 555-0100 </p>
+    <p> Sales@Acme.example, ops@acme.example </p>
+    <address> 9 Pine Road, Austin, TX 73301 </address>
+    <div data-address="mail hq@acme.example"> hq </div>
+    <script> var c = "+44 1234 567890"; </script>
+    </body></html>"""
+    pages = [(URL, html)]
+    for profile in ("v1", "v2"):
+        tbl, _, _ = W.world(seed=3, n_hosts=8, pages_per_host_base=30,
+                            profile=profile)
+        pages += zip(tbl.column("url").to_pylist(),
+                     tbl.column("html").to_pylist())
+    with_phone = 0
+    for url, html in pages:
+        if not html:
+            continue
+        doc = parse(html)
+        got = A.advanced_location_rows(doc, html, url)
+        assert got == _rows_from_full_extraction(doc, html, url), url
+        with_phone += any(r["name"] == "" and r["phone"] for r in got)
+    assert with_phone > 10  # the lazy scan found phones on many pages
+    first = A.advanced_location_rows(parse(pages[0][1]), pages[0][1], URL)[0]
+    assert (first["email"], first["phone"]) == \
+        ("sales@acme.example", "+09876543210")
+
+
+def test_body_patterns_need_a_decimal_digit():
+    """A body whose only digit-like character is not a decimal digit
+    ("²" passes str.isdigit, not \\d) yields no body-pattern rows."""
+    html = "<html><body><p> Main Street Springfield IL area² </p></body></html>"
+    assert C.extract_body_patterns(parse(html), URL) == []

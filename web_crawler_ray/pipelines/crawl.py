@@ -18,7 +18,10 @@ Scale notes (10^10-URL frontier, multi-node):
   Arrow tables, gated once at insert time. The driver only sees int
   order keys per round (or, above ``rank_gather_limit``, per-shard
   samples and counts — state/distrank.py).
-- The seen set is an actor pool; ONE batched RPC per shard per round.
+- The seen set is a set of shard actors; ONE batched RPC per shard per
+  round. Like the keepers, the shards live for the session: a crawl
+  leases them from the session pool and hands them back cleared, so
+  only a session's first crawl waits for their processes to start.
   Politeness is one driver-local ledger (one grant per round). Robots
   rules are static per crawl and evaluated locally in the tasks against
   one broadcast copy of the raw robots map.
@@ -45,7 +48,7 @@ from ..functions.urltools import (
     should_exclude,
 )
 from ..state import distrank
-from ..state.placement import spread_opts
+from ..state.placement import session_pool, spread_opts
 from ..state.politeness import Politeness
 from ..state.robots_cache import RobotsGate, RobotsIndex, local_check
 from ..state.seen import SeenSet
@@ -302,8 +305,10 @@ class _Keeper:
     6.7 s (package import) for 16 such tasks at 32 busy cpus, vs
     0.08 s on a warm actor; that was round 3's 3.0 s mark_wait in the
     phase profile. One 0-cpu actor per frontier bucket pins a warm
-    process for the whole crawl (and, via the session-keyed pool cache,
-    across crawls in a session); per-bucket calls serialize on the
+    process for the whole crawl, and across crawls in a session through
+    ``placement.session_pool``, the cache the seen shards use too. A
+    keeper holds no crawl state, so unlike a shard it needs no lease or
+    reset. Per-bucket calls serialize on the
     bucket's actor, which matches the data dependencies (mark ->
     finish_taken -> next-round parts consume each other's outputs).
     """
@@ -316,21 +321,9 @@ _KEEPER_POOLS: dict = {}
 
 
 def _keeper_pool(k: int) -> list:
-    """K warm _Keeper handles, cached per (ray cluster instance, job,
-    k). Keyed by node id AND job id: job ids restart at the same value
-    in every fresh local cluster, so job id alone would reuse dead
-    handles across an init/shutdown cycle in one process (bench runs
-    several); the node id is unique per cluster instance. Stale
-    other-cluster entries are pruned on miss."""
-    ctx = ray.get_runtime_context()
-    key = (ctx.get_node_id(), ctx.get_job_id(), k)
-    pool = _KEEPER_POOLS.get(key)
-    if pool is None:
-        for old in [o for o in _KEEPER_POOLS if o[:2] != key[:2]]:
-            del _KEEPER_POOLS[old]
-        pool = [_Keeper.options(**spread_opts()).remote() for _ in range(k)]
-        _KEEPER_POOLS[key] = pool
-    return pool
+    """K warm _Keeper handles, cached per (live Ray session, k)."""
+    return session_pool(_KEEPER_POOLS, k, factory=lambda: [
+        _Keeper.options(**spread_opts()).remote() for _ in range(k)])
 
 
 def _prep_bucket(tbl: pa.Table, robots: RobotsGate, max_depth: int):
@@ -1091,6 +1084,9 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
                else _EMPTY_VISITED)
     pages = rd.from_arrow_refs(page_refs) if page_refs else None
     seen_shards = seen.memory_stats()
+    seen_snapshot = seen.snapshot()
+    # every reduce has returned, so no task still writes to the shards
+    seen.release()
     stats = {"fetched": n_fetched, "rounds": rnd,
              "seen": sum(m["exact_keys"] + m["spilled_keys"] for m in seen_shards),
              "seen_shards": seen_shards,
@@ -1100,7 +1096,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     stats["driver_phases_rounds"] = [
         {k: round(v, 3) for k, v in r.items()} for r in phases_rounds]
     return CrawlResult(visited=visited, pages=pages,
-                       seen_snapshot=seen.snapshot(), stats=stats,
+                       seen_snapshot=seen_snapshot, stats=stats,
                        metrics=metrics, visited_dir=visited_spill_dir)
 
 

@@ -140,32 +140,39 @@ def _page_dump(doc: Doc, html: str) -> dict:
             "addresses": addresses, "locationLinks": loc_links}
 
 
+def _contact_sources(data: dict) -> list[str]:
+    """The 4 source families emails and phones are read from."""
+    return ([data["bodyText"], data["htmlContent"]]
+            + [s["content"] for s in data["scripts"]]
+            + [json.dumps(d["attributes"]) for d in data["dataAttributes"]])
+
+
+def _emails_adv(data: dict):
+    """Valid emails, lowercased, in source then match order (repeats kept)."""
+    for text in _contact_sources(data):
+        for m in EMAIL_RE.finditer(text or ""):
+            if is_valid_email(m.group()):
+                yield m.group().lower()
+
+
+def _phones_adv(data: dict):
+    """Normalized phones, in pattern then match order (repeats kept)."""
+    concatenated = " ".join(_contact_sources(data))
+    for rx in PHONE_RES.values():
+        for m in rx.finditer(concatenated):
+            cleaned = normalize_phone_adv(m.group())
+            if cleaned:
+                yield cleaned
+
+
 def extract_emails_adv(data: dict) -> list[str]:
     """4 source families, set-dedup, lowercased (advanced-extractor:206-228)."""
-    emails: dict[str, None] = {}
-    sources = ([data["bodyText"], data["htmlContent"]]
-               + [s["content"] for s in data["scripts"]]
-               + [json.dumps(d["attributes"]) for d in data["dataAttributes"]])
-    for text in sources:
-        for m in EMAIL_RE.findall(text or ""):
-            if is_valid_email(m):
-                emails.setdefault(m.lower())
-    return list(emails)
+    return list(dict.fromkeys(_emails_adv(data)))
 
 
 def extract_phones_adv(data: dict) -> list[str]:
     """4 country patterns over the concatenated sources (:233-256)."""
-    phones: dict[str, None] = {}
-    concatenated = " ".join(
-        [data["bodyText"], data["htmlContent"]]
-        + [s["content"] for s in data["scripts"]]
-        + [json.dumps(d["attributes"]) for d in data["dataAttributes"]])
-    for rx in PHONE_RES.values():
-        for m in rx.findall(concatenated):
-            cleaned = normalize_phone_adv(m)
-            if cleaned:
-                phones.setdefault(cleaned)
-    return list(phones)
+    return list(dict.fromkeys(_phones_adv(data)))
 
 
 def _address_from_jsonld(data) -> dict | None:
@@ -243,12 +250,14 @@ def full_extraction(doc: Doc, html: str, url: str) -> dict:
 
 
 def advanced_location_rows(doc: Doc, html: str, url: str) -> list[dict]:
-    """Adapter: full_extraction -> locations_raw rows (method 'advanced')."""
-    res = full_extraction(doc, html, url)
+    """Adapter: the advanced extraction -> locations_raw rows (method
+    'advanced'). Address rows carry only the page's FIRST email and
+    phone, so those are scanned for only when an address row exists and
+    stop at the first hit (equal to ``full_extraction``'s ``[0]``;
+    tested)."""
+    data = _page_dump(doc, html)
     rows = []
-    first_email = res["emails"][0] if res["emails"] else ""
-    first_phone = res["phones"][0] if res["phones"] else ""
-    for org in res["structuredData"]:
+    for org in parse_structured_orgs(data):
         addr = org["address"] or {}
         rows.append({
             "name": org["name"], "address": addr.get("text") or "",
@@ -261,9 +270,12 @@ def advanced_location_rows(doc: Doc, html: str, url: str) -> list[dict]:
             "phone": org["phone"], "email": org["email"],
             "source_url": url, "extraction_method": "advanced", "confidence": 0.85,
         })
-    for a in res["addresses"]:
-        if a["source"] == "json-ld":
-            continue  # already covered by structured orgs / E1
+    # json-ld addresses are already covered by structured orgs / E1
+    addrs = [a for a in extract_addresses_adv(data) if a["source"] != "json-ld"]
+    if addrs:
+        first_email = next(_emails_adv(data), "")
+        first_phone = next(_phones_adv(data), "")
+    for a in addrs:
         pin = a["pins"][0]["code"] if a["pins"] else ""
         rows.append({
             "name": "", "address": a.get("text") or "", "street": "",

@@ -57,6 +57,9 @@ _BODY_PREFILTERS = (
     re.compile(r"\d{4}\s*[A-Z]{2}", re.I),
     re.compile(r"\d{5}"),
 )
+# every body pattern needs a \d match; one C-level scan (str.isdigit
+# is also true for non-\d digits such as "²", which no pattern matches)
+_DIGIT_RE = re.compile(r"\d")
 
 _CONTAINER_CLASS_TOKENS = (
     "locations-list", "location-list", "office-list", "offices-list",
@@ -177,8 +180,8 @@ def extract_body_patterns(doc: Doc, url: str) -> list[dict]:
     from urllib.parse import urlsplit
     out = []
     body = doc.body_text()
-    if not any(c.isdigit() for c in body):
-        return out  # all 5 patterns require digits — skip the regex scans
+    if _DIGIT_RE.search(body) is None:
+        return out  # all 5 patterns require \d — skip the regex scans
     host = urlsplit(url).netloc
     for rx, pre in zip(_BODY_PATTERNS, _BODY_PREFILTERS):
         if pre.search(body) is None:

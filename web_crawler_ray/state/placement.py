@@ -1,4 +1,5 @@
-"""Multi-node actor placement for the crawl's stateful pools.
+"""Multi-node actor placement for the crawl's stateful pools, and the
+session key that decides which pooled handles belong to the live cluster.
 
 The seen-set shards and frontier keeper actors are zero-CPU actors
 created with default placement. On a
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import os
 
+import ray
+
 
 def spread_enabled() -> bool:
     return os.environ.get("GRAFT_SPREAD_ACTORS", "1").lower() \
@@ -33,3 +36,23 @@ def spread_opts(**base) -> dict:
     if spread_enabled():
         base["scheduling_strategy"] = "SPREAD"
     return base
+
+
+def session_pool(pools: dict, *key, factory):
+    """The entry of ``pools`` for the live Ray session and ``key``,
+    made by ``factory()`` on a miss. Entries are keyed by node id AND
+    job id: job ids restart at the same value in every fresh local
+    cluster, so job id alone would hand out dead actor handles after an
+    init/shutdown cycle in one process (bench runs several); the node id
+    is unique per cluster instance. Entries of other sessions are pruned
+    on a miss. The ONE place that decides when a pooled handle belongs
+    to the live cluster (the crawl's keeper pool and seen-shard pool)."""
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_node_id(), ctx.get_job_id())
+    full = (*session, *key)
+    entry = pools.get(full)
+    if entry is None:
+        for old in [o for o in pools if o[:2] != session]:
+            del pools[old]
+        entry = pools[full] = factory()
+    return entry

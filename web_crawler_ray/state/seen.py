@@ -22,6 +22,13 @@ Design (scale story):
 
 Membership + insert are one message per shard per round
 (``check_and_add`` over a hash batch), not per URL.
+
+Lifecycle: a ``SeenSet`` LEASES its shard actors from a per-session pool
+and ``release()`` hands them back cleared, so a session starts the
+shard processes once, not once per crawl. An idle pooled shard holds no
+keys. A set that is never released (a crawl that raised, a caller that
+killed its shards) is never reused: its handles are dropped and its
+actors die with them.
 """
 
 from __future__ import annotations
@@ -68,6 +75,11 @@ class _SeenShardImpl:
     """One shard of the URL-seen set (plain class; wrapped by ray.remote)."""
 
     def __init__(self, spill_threshold: int | None = None):
+        self.reset(spill_threshold)
+
+    def reset(self, spill_threshold: int | None = None) -> None:
+        """Empty both tiers and set the exact-tier budget (a pooled shard
+        is reset when it is leased and when it is released)."""
         self.keys = np.zeros(0, dtype=np.uint64)  # exact tier: sorted, unique
         self.spill_threshold = spill_threshold
         self.bloom: BloomFilter | None = None  # spill tier, engaged on demand
@@ -164,8 +176,16 @@ def scatter_check_and_add(shards: list, h: np.ndarray) -> np.ndarray:
     return out
 
 
+_SHARD_POOLS: dict = {}  # (node id, job id, n_shards) -> free shard lists
+
+
 class SeenSet:
-    """Driver-side handle over the shard actor pool.
+    """Driver-side handle over ``n_shards`` shard actors, leased from the
+    session's pool: construction pops a free shard list (or starts new
+    actors when none is free) and resets it to this set's
+    ``spill_threshold``; ``release()`` clears the shards and pushes them
+    back. Two live sets never share a shard, and a set that is not
+    released is never reused.
 
     ``spill_threshold`` bounds each shard's exact-set RAM: past it the
     exact tier spills to the bloom tier (no false negatives; snapshot
@@ -173,14 +193,25 @@ class SeenSet:
     trade, SCALE.md)."""
 
     def __init__(self, n_shards: int = 8, spill_threshold: int | None = None):
-        from .placement import spread_opts
+        from .placement import session_pool, spread_opts
         self.n_shards = n_shards
-        # 0 CPU: a fractional reservation per shard left a 1-CPU node
-        # without the 1 CPU a fetch task needs (the crawl never started)
-        self.shards = [
-            SeenShard.options(**spread_opts(num_cpus=0)).remote(spill_threshold)
-            for _ in range(n_shards)
-        ]
+        self._free = session_pool(_SHARD_POOLS, n_shards, factory=list)
+        try:
+            self.shards = self._free.pop()  # atomic: no two sets share one
+        except IndexError:
+            # 0 CPU: a fractional reservation per shard left a 1-CPU node
+            # without the 1 CPU a fetch task needs (the crawl never started)
+            self.shards = [SeenShard.options(**spread_opts(num_cpus=0)).remote()
+                           for _ in range(n_shards)]
+        ray.get([s.reset.remote(spill_threshold) for s in self.shards])
+
+    def release(self) -> None:
+        """Clear every shard (exact array, bloom, spilled count) and hand
+        the shards back to the session pool. The set holds no shard
+        afterwards."""
+        shards, self.shards = self.shards, []
+        ray.get([s.reset.remote() for s in shards])
+        self._free.append(shards)
 
     def check_and_add(self, hashes: np.ndarray) -> np.ndarray:
         """Vector check-and-insert across shards; preserves input order.
