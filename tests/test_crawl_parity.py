@@ -306,16 +306,15 @@ def test_page_hook_sees_every_fetched_page_once_per_round(small_world):
 
 
 def test_reduce_candidates_is_not_idempotent(ray_session):
-    """The candidate reduce's seen check_and_add inserts as it tests: a
-    second run on the same pieces against the same shards returns no
-    fresh rows. A retry would therefore drop urls silently, so the task
-    must never be retried."""
+    """The shard's candidate reduce inserts as it tests: a second call on
+    the same shard with the same pieces returns no fresh rows. A retry
+    would therefore drop urls silently, so the shard actor is neither
+    restarted nor are its calls retried."""
     import pyarrow as pa
     import ray
     from web_crawler_ray.functions.hashing import hash64_many
-    from web_crawler_ray.pipelines.crawl import _reduce_candidates
     from web_crawler_ray.state.robots_cache import RobotsGate
-    from web_crawler_ray.state.seen import SeenSet
+    from web_crawler_ray.state.seen import SeenSet, SeenShard
 
     urls = ["https://a.example/x", "https://a.example/y", "https://b.example/"]
     piece = pa.table({
@@ -327,17 +326,21 @@ def test_reduce_candidates_is_not_idempotent(ray_session):
         "parent_url_hash": pa.array([0, 0, 0], pa.uint64()),
         "url_hash": pa.array(hash64_many(urls), pa.uint64()),
     })
-    seen = SeenSet(n_shards=2)
+    seen = SeenSet(n_shards=1)
     gate = RobotsGate(ray.put({}))
 
     def reduce_once():
-        return ray.get(_reduce_candidates.remote(
-            list(seen.shards), gate, 3, False, False, piece))
+        return tuple(ray.get(seen.shards[0].reduce_candidates.options(
+            num_returns=3).remote(gate, 3, False, False, piece)))
 
-    fresh, info, _ = reduce_once()
-    assert fresh.column("url").to_pylist() == urls and info["n"] == 3
-    assert reduce_once() == [None, None, None]
-    assert _reduce_candidates._default_options.get("max_retries") == 0
+    try:
+        fresh, info, _ = reduce_once()
+        assert fresh.column("url").to_pylist() == urls and info["n"] == 3
+        assert reduce_once() == (None, None, None)
+    finally:
+        seen.release()
+    opts = SeenShard._default_options
+    assert not opts.get("max_restarts") and not opts.get("max_task_retries")
 
 
 def _ids(shards) -> list[str]:
@@ -526,9 +529,11 @@ def test_order_key_overflow_raises_not_asserts():
 def test_http_fetcher_against_local_server(ray_session):
     """S1 concrete: crawl(fetcher='http') GETs a real (localhost) site —
     link discovery, BFS order, politeness and dedup all behave exactly
-    as with the page store; network failures become fetch_ok=False."""
+    as with the page store; network failures become fetch_ok=False,
+    redirects are followed and undecodable bytes never raise."""
     import http.server
     import threading
+    import time
 
     PAGES = {
         "/": '<a href="/a">a</a><a href="/b">b</a>',
@@ -536,10 +541,29 @@ def test_http_fetcher_against_local_server(ray_session):
         "/b": '<a href="/">home</a>',
         "/c": "plain leaf",
         "/created": '<a href="/c">c</a>created resource',  # served as 201
+        "/edge": '<a href="/slow">s</a><a href="/moved">m</a>'
+                 '<a href="/latin">l</a>',
     }
 
     class H(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
+            if self.path == "/slow":  # answers after the fetch timeout
+                time.sleep(2.0)
+            if self.path == "/moved":
+                self.send_response(301)
+                self.send_header("Location", "/a")
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            if self.path == "/latin":  # latin-1 bytes, not valid utf-8
+                data = "caf\u00e9 cr\u00e8me".encode("latin-1")
+                self.send_response(200)
+                self.send_header("Content-Type",
+                                 "text/html; charset=iso-8859-1")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                return
             body = PAGES.get(self.path)
             if body is None:
                 self.send_response(404)
@@ -585,6 +609,20 @@ def test_http_fetcher_against_local_server(ray_session):
         assert int(p3.loc[f"http://127.0.0.1:{port}/created", "status"]) == 201
         assert bool(p3.loc[f"http://127.0.0.1:{port}/created", "fetch_ok"])
         assert f"http://127.0.0.1:{port}/c" in p3.index  # link followed
+        # a handler slower than fetch_timeout is a transport failure
+        # (status 0); a 301 is followed to its target's body, whose links
+        # join the frontier; latin-1 bytes decode with U+FFFD
+        base = f"http://127.0.0.1:{port}/"
+        res4 = crawl(None, {}, [base + "edge"], max_pages=20, max_depth=2,
+                     fetcher="http", fetch_timeout=0.5)
+        p4 = res4.pages.to_pandas().set_index("url")
+        assert int(p4.loc[base + "slow", "status"]) == 0
+        assert not bool(p4.loc[base + "slow", "fetch_ok"])
+        assert int(p4.loc[base + "moved", "status"]) == 200
+        assert p4.loc[base + "moved", "html"] == PAGES["/a"]
+        assert {base + "b", base + "c"} <= set(p4.index)  # crawl went on
+        assert p4.loc[base + "latin", "html"] == "caf\ufffd cr\ufffdme"
+        assert bool(p4.loc[base + "latin", "fetch_ok"])
     finally:
         srv.shutdown()
         srv.server_close()
@@ -604,6 +642,9 @@ t = threading.Thread(target=lambda: out.append(
 t.start()
 t.join(60)
 print("fetched", out[0] if out else "none (still waiting)")
+import ray._private.state as gcs
+print("alive actors", " ".join(sorted(
+    a["ActorClassName"] for a in gcs.actors().values() if a["State"] == "ALIVE")))
 ray.shutdown()
 sys.exit(0 if out else 1)
 """
@@ -612,8 +653,9 @@ sys.exit(0 if out else 1)
 def test_crawl_completes_on_one_cpu_node():
     """A crawl finishes on a 1-CPU node: its state actors reserve no CPU,
     so the 1-CPU fetch task can be scheduled (a fractional reservation
-    per actor left it pending forever). Own node, in a subprocess; the
-    crawl gets 60 s."""
+    per actor left it pending forever). Its leased seen shards (the
+    default n_seen_shards=4) are the only actors it creates. Own node,
+    in a subprocess; the crawl gets 60 s."""
     import os
     import re
     import subprocess
@@ -625,3 +667,7 @@ def test_crawl_completes_on_one_cpu_node():
                        env=env, capture_output=True, text=True, timeout=240)
     assert p.returncode == 0, p.stdout + p.stderr[-2000:]
     assert int(re.search(r"^fetched (\d+)$", p.stdout, re.M).group(1)) > 0
+    # besides Ray Data's session stats actor, which the first Dataset of
+    # a session starts (CrawlResult.pages), only the crawl's shards live
+    alive = re.search(r"^alive actors (.*)$", p.stdout, re.M).group(1).split()
+    assert [a for a in alive if a != "_StatsActor"] == ["_SeenShardImpl"] * 4

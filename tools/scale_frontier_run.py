@@ -22,13 +22,15 @@ the end for BASELINE.md / SCALE.md.
 """
 
 import json
+import os
 import resource
 import shutil
 import sys
 import tempfile
 import time
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def main():

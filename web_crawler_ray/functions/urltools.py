@@ -108,6 +108,12 @@ def host_of(url: str) -> str:
         return ""
 
 
+def path_of(url: str) -> str:
+    """Path of a canonical http(s) URL (scheme://host[/path], no query/frag)."""
+    i = url.find("/", 8)  # skip 'https://'
+    return url[i:] if i >= 0 else "/"
+
+
 def same_domain(host: str, base_host: str) -> bool:
     """Same-domain incl. www symmetry (site-crawler.service.js:28)."""
     return host == base_host or host == f"www.{base_host}" or f"www.{host}" == base_host

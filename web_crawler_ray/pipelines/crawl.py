@@ -18,10 +18,12 @@ Scale notes (10^10-URL frontier, multi-node):
   Arrow tables, gated once at insert time. The driver only sees int
   order keys per round (or, above ``rank_gather_limit``, per-shard
   samples and counts — state/distrank.py).
-- The seen set is a set of shard actors; ONE batched RPC per shard per
-  round. Like the keepers, the shards live for the session: a crawl
-  leases them from the session pool and hands them back cleared, so
-  only a session's first crawl waits for their processes to start.
+- The seen set's shard actors are the crawl's only actors. ONE
+  ``reduce_candidates`` call per shard per round dedups, probes and
+  gates the links it owns (url_hash % n_seen_shards), and the
+  per-bucket bookkeeping runs on the same actors. A crawl leases the
+  shards from the session pool and hands them back cleared, so only a
+  session's first crawl waits for their processes to start.
   Politeness is one driver-local ledger (one grant per round). Robots
   rules are static per crawl and evaluated locally in the tasks against
   one broadcast copy of the raw robots map.
@@ -44,11 +46,10 @@ import ray.data as rd
 
 from ..functions.hashing import hash64_many
 from ..functions.urltools import (
-    canonicalize, host_of, priority_tier, resolve_href, same_domain,
-    should_exclude,
+    canonicalize, host_of, path_of, priority_tier, resolve_href,
+    same_domain, should_exclude,
 )
 from ..state import distrank
-from ..state.placement import session_pool, spread_opts
 from ..state.politeness import Politeness
 from ..state.robots_cache import RobotsGate, RobotsIndex, local_check
 from ..state.seen import SeenSet
@@ -56,13 +57,14 @@ from ..stages.extract import extract_hrefs
 
 # Host-hash buckets: the frontier's ONE partitioning key, reused every
 # round, and the page store's shard key, so a per-bucket fetch task pulls
-# only its own shard. The bookkeeping cost scales with K x KU (explode
-# fan-out + reduce fan-in objects), so both are kept small and fixed:
-# measured on a 17.5k-page world @16 cpus, (K,KU)=(16,8) -> 2.0 s,
-# (16,16) -> 2.3 s, (8,8) -> 2.6 s, (32,8) -> 5.7 s. Fetch tasks at
-# ~K-way parallelism are not the round bottleneck (per-page fetch ~1 ms).
+# only its own shard. The candidate shuffle's url partitioning is the
+# seen set's own (url_hash % n_seen_shards), so the bookkeeping cost
+# scales with K x n_seen_shards (explode fan-out + reduce fan-in
+# objects); both stay small: measured on a 17.5k-page world @16 cpus
+# with separate reduce tasks, (K, url shards)=(16,8) -> 2.0 s, (16,16)
+# -> 2.3 s, (8,8) -> 2.6 s, (32,8) -> 5.7 s. Fetch tasks at ~K-way
+# parallelism are not the round bottleneck (per-page fetch ~1 ms).
 K = 16   # frontier buckets / page-store shards, by hash(host)
-KU = 8   # candidate-shuffle shards, by hash(url)
 
 
 def _bucket_of(hosts) -> np.ndarray:
@@ -70,15 +72,9 @@ def _bucket_of(hosts) -> np.ndarray:
     return (hash64_many(hosts) % np.uint64(K)).astype(np.int64)
 
 
-def _fast_path(url: str) -> str:
-    """Path of a canonical http(s) URL (scheme://host[/path], no query/frag)."""
-    i = url.find("/", 8)  # skip 'https://'
-    return url[i:] if i >= 0 else "/"
-
-
 def _frontier_table(urls, hosts, depths, seqs, parent_hashes=None) -> pa.Table:
     urls = list(urls)
-    paths = [_fast_path(u) for u in urls]
+    paths = [path_of(u) for u in urls]
     if parent_hashes is None:
         parent_hashes = np.zeros(len(urls), dtype=np.uint64)  # seeds: no parent
     return pa.table({
@@ -285,45 +281,12 @@ class CrawlResult:
 # of Arrow tables, each depth+robots-gated at insert time — and the
 # per-page work (fetch + link extract) is one Ray task per bucket slice.
 # Round bookkeeping (mark granted rows, rank, candidate dedup/seen gate,
-# frontier merge) runs as small Ray tasks over the bucket refs: the
-# Dataset executor's fixed per-job cost (~0.3-0.5 s x 9 jobs/round in an
-# earlier all-Dataset form) measured 17x slower at bench scale.
-# Parity-tested bit-for-bit against the oracle (tests/test_crawl_parity.py).
+# frontier merge) runs as small calls on the leased seen-shard actors
+# over the bucket refs: an all-Dataset form measured 17x slower at bench
+# scale, and 0-cpu bookkeeping TASKS re-paid worker spawn + import on a
+# busy node (1.6-6.7 s for 16 tasks at 32 busy cpus vs 0.08 s on a warm
+# actor). Parity-tested bit-for-bit against the oracle.
 # ---------------------------------------------------------------------------
-
-
-@ray.remote(num_cpus=0)
-class _Keeper:
-    """Warm process pool for the per-round frontier bookkeeping.
-
-    The bookkeeping callables (_prep_bucket/_mark_bucket/_finish_taken/
-    _finish_fresh) are tiny int-key kernels, but as 0-cpu TASKS they
-    stalled the round critical path whenever the cluster was saturated
-    by concurrent extract tasks: Ray reaps idle workers beyond
-    num_cpus, so each round's batch of tiny tasks re-paid worker spawn
-    + package import on a busy node — measured 1.6 s (bare fn) to
-    6.7 s (package import) for 16 such tasks at 32 busy cpus, vs
-    0.08 s on a warm actor; that was round 3's 3.0 s mark_wait in the
-    phase profile. One 0-cpu actor per frontier bucket pins a warm
-    process for the whole crawl, and across crawls in a session through
-    ``placement.session_pool``, the cache the seen shards use too. A
-    keeper holds no crawl state, so unlike a shard it needs no lease or
-    reset. Per-bucket calls serialize on the
-    bucket's actor, which matches the data dependencies (mark ->
-    finish_taken -> next-round parts consume each other's outputs).
-    """
-
-    def run(self, fn, *args):
-        return fn(*args)
-
-
-_KEEPER_POOLS: dict = {}
-
-
-def _keeper_pool(k: int) -> list:
-    """K warm _Keeper handles, cached per (live Ray session, k)."""
-    return session_pool(_KEEPER_POOLS, k, factory=lambda: [
-        _Keeper.options(**spread_opts()).remote() for _ in range(k)])
 
 
 def _prep_bucket(tbl: pa.Table, robots: RobotsGate, max_depth: int):
@@ -331,7 +294,7 @@ def _prep_bucket(tbl: pa.Table, robots: RobotsGate, max_depth: int):
     one frontier bucket. Returns (gated table, per-host counts) in
     arrival order — buckets are unordered parts; _mark_bucket orders by
     int keys per round. Used for the initial/resumed frontier;
-    candidates are gated by _reduce_candidates as they enter."""
+    candidates are gated by SeenShard.reduce_candidates as they enter."""
     tbl = tbl.filter(pc.less_equal(tbl.column("depth"), max_depth))
     if tbl.num_rows:
         tbl = tbl.filter(pa.array(local_check(
@@ -457,86 +420,19 @@ def _fetch_block(stage, tbl: pa.Table, meta_cols: tuple,
     return out, out.select(list(meta_cols))
 
 
-@ray.remote(num_returns=KU)
-def _explode_bucketed(tbl: pa.Table):
+@ray.remote
+def _explode_bucketed(tbl: pa.Table, n: int):
     """Map side of the candidate shuffle: explode one fetched block's
-    links and partition by hash(url) into KU shards — same url always
-    lands in the same reduce task."""
+    links and partition them by the seen set's routing key,
+    url_hash % n — a url always lands on the shard that owns its key.
+    Called with num_returns=n; with n == 1 that is one bare table."""
     cand = _explode_links_batch(tbl)
     h = hash64_many(cand.column("url").to_pylist())
     cand = cand.append_column("url_hash", pa.array(h, pa.uint64()))
-    b = (h % np.uint64(KU)).astype(np.int64)
-    return tuple(cand.filter(pa.array(b == i)) for i in range(KU))
-
-
-@ray.remote(num_cpus=1, num_returns=3, max_retries=0)
-def _reduce_candidates(shards, robots: RobotsGate, max_depth: int,
-                       want_hashes: bool, remote_keys: bool,
-                       *pieces: pa.Table):
-    """Reduce side of the candidate shuffle, one url shard per task:
-    in-round first-seen dedup (order: parent fetch rank, link position)
-    -> seen-shard check_and_add (cross-task urls are disjoint by the url
-    partitioning, so shard results are arrival-order independent) ->
-    depth + robots gate (insert-time gating; gated-out rows still consume
-    their discovery_seq, matching the oracle's numbering, via the
-    __gated mask). NOT idempotent: check_and_add inserts as it tests, so
-    a re-run on the same pieces against the same shards returns no fresh
-    rows. Hence max_retries=0 — a worker death fails the crawl loudly
-    instead of silently dropping urls.
-    Returns (fresh candidate table incl. __gated, info, keys) where info
-    holds the fresh rows' order keys (ints), the gated rows' per-host
-    counts, and — only when checkpointing — the fresh url hashes. With
-    ``remote_keys`` (rank_assign="distributed") the order keys are
-    instead encoded as one sorted uint64 array ((parent_rank << 24) |
-    link_idx — unique per link occurrence; bounds asserted) returned as
-    the 3rd value for state/distrank.py, and info carries only a count
-    + sample; the driver then never gathers O(candidates) keys.
-    (Checkpointing still gathers the O(fresh) url hashes for the
-    seen-delta file — checkpoint writes are driver-paced by design.)"""
-    from ..state.seen import scatter_check_and_add
-    parts = [p for p in pieces if p.num_rows]
-    if not parts:
-        return None, None, None
-    t = pa.concat_tables(parts).combine_chunks()
-    t = t.sort_by([("parent_rank", "ascending"), ("link_idx", "ascending")])
-    urls = pd.Series(np.asarray(t.column("url")))
-    t = t.filter(pa.array(~urls.duplicated().to_numpy()))
-    fresh = scatter_check_and_add(shards, t.column("url_hash").to_numpy())
-    t = t.filter(pa.array(fresh))
-    if t.num_rows == 0:
-        return None, None, None
-    gated = t.column("depth").to_numpy() <= max_depth
-    if gated.any():
-        paths = [_fast_path(u) for u in t.column("url").to_pylist()]
-        allowed = np.asarray(local_check(
-            robots.ref, t.column("host").to_pylist(), paths))
-        gated = gated & allowed
-    t = t.append_column("__gated", pa.array(gated, pa.bool_()))
-    gh, gc = np.unique(np.asarray(t.filter(pa.array(gated)).column("host")),
-                       return_counts=True)
-    info = {
-        "rank": None, "idx": None, "n": t.num_rows, "sample": None,
-        "host_counts": {str(h): int(c) for h, c in zip(gh, gc)},
-        "hashes": t.column("url_hash").to_numpy() if want_hashes else None,
-    }
-    if remote_keys:
-        rank = t.column("parent_rank").to_numpy()
-        idx = t.column("link_idx").to_numpy()
-        # unique per link occurrence; rank < 2^39 (bounded by this
-        # round's fetch count), idx < 2^24 (links per page). Explicit
-        # raise so the check survives `python -O` (ADVICE r3).
-        if len(idx) and (int(idx.max()) >= (1 << 24)
-                         or int(rank.max()) >= (1 << 39)):
-            raise ValueError(
-                "fresh order key overflows uint64 encoding "
-                f"(max link_idx={int(idx.max())}, "
-                f"max parent_rank={int(rank.max())})")
-        keys = (rank.astype(np.uint64) << np.uint64(24)) | idx.astype(np.uint64)
-        info["sample"] = distrank.sample_keys(keys)
-        return t, info, keys
-    info["rank"] = t.column("parent_rank").to_numpy()
-    info["idx"] = t.column("link_idx").to_numpy()
-    return t, info, None
+    if n == 1:
+        return cand
+    b = (h % np.uint64(n)).astype(np.int64)
+    return tuple(cand.filter(pa.array(b == i)) for i in range(n))
 
 
 def _finish_fresh(tbl: pa.Table, *seq_parts):
@@ -555,7 +451,7 @@ def _finish_fresh(tbl: pa.Table, *seq_parts):
         "url": tbl.column("url"),
         "url_hash": tbl.column("url_hash"),
         "host": tbl.column("host"),
-        "path": pa.array([_fast_path(u) for u in urls], pa.string()),
+        "path": pa.array([path_of(u) for u in urls], pa.string()),
         "depth": pc.cast(tbl.column("depth"), pa.int32()),
         "discovery_seq": tbl.column("discovery_seq"),
         "priority": pa.array([priority_tier(u) for u in urls], pa.int8()),
@@ -737,9 +633,9 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
         round_delta.append(s_hashes[keep])  # seeds enter the round-0 delta
 
     # Insert-time robots gating evaluates LOCALLY in the prep/reduce
-    # tasks against one broadcast of the raw robots map — a single
-    # robots actor's check RPC serialized the KU parallel reduce tasks
-    # every round (robots_cache.local_check; decisions bit-identical)
+    # calls against one broadcast of the raw robots map — a single
+    # robots actor's check RPC serialized the parallel reduces every
+    # round (robots_cache.local_check; decisions bit-identical)
     return _crawl_rounds_dataset(
         fetch_stage, RobotsGate(ray.put(robots_by_host)), seen, politeness,
         frontier, next_seq, n_seen, n_fetched, rnd, round_delta, max_pages,
@@ -785,33 +681,32 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     both static per crawl) ONCE at insert time and kept as UNORDERED
     concat parts (prev rest + per-round gated-in candidates; zero-copy)
     — while the round's heavy work (fetch + link extract) runs as one
-    Ray task per bucket slice. Bookkeeping runs as small Ray tasks over
-    the bucket refs:
+    Ray task per bucket slice. Bookkeeping runs as small calls over the
+    bucket refs on the crawl's only actors, the n leased seen shards:
+    bucket b's prep, mark and finish_taken on shard b % n, and url
+    partition u's reduce and finish_fresh on shard u. With n < K the
+    bookkeeping runs min(K, n)-wide (measured on 2 CPUs only; wider
+    nodes are untested):
 
     - mark: per bucket, take the granted per-host prefix in round order
-      by argsorting the int ORDER KEYS only (groupby-cumcount over the
-      key order). No merge/sort task between rounds: the earlier
-      sorted-bucket invariant re-paid an O(n log n) full-table string
-      permute per round (~26 task-s/run at 2x bench world) on the
-      critical path of every round start.
+      by argsorting the int ORDER KEYS only (see _mark_bucket); no
+      merge/sort task runs between rounds.
     - rank / seq assignment: per-bucket ORDER KEYS (ints only — never
       urls/html) are gathered to the driver, argsorted, and the ranks
       shipped back per bucket. O(round x ~12 B) driver traffic — the
-      same O(round-metadata) class as the visited collection. (An
-      earlier all-Dataset form used a distributed sort + prefix-sum
-      here; its 2 extra all-to-all jobs per round measured 17x slower
-      at bench scale, see git history.) Above ``rank_gather_limit``
-      rows (or with ``rank_assign="distributed"``) even the int-key
-      gather is skipped: state/distrank.py assigns identical ranks by a
-      sample-merge-rank (driver sees per-shard samples + counts only —
-      the 10^8-rows/round path; forced-distributed parity pinned in
-      tests/test_crawl_parity.py).
-    - candidate shuffle: explode tasks partition links by hash(url) into
-      url shards (map side); one reduce task per shard does first-seen
-      dedup, the seen-shard check_and_add (cross-shard urls are
-      disjoint, so shard results are arrival-order independent), and the
-      insert-time gate. Gated-OUT rows still consume discovery_seqs —
-      exactly the oracle's numbering, where gates run at round start.
+      same O(round-metadata) class as the visited collection. Above
+      ``rank_gather_limit`` rows (or with ``rank_assign="distributed"``)
+      even the int-key gather is skipped: state/distrank.py assigns
+      identical ranks by a sample-merge-rank (driver sees per-shard
+      samples + counts only — the 10^8-rows/round path; forced-
+      distributed parity pinned in tests/test_crawl_parity.py).
+    - candidate shuffle: explode tasks partition links by the seen
+      set's routing key, url_hash % n (map side); each shard's
+      ``reduce_candidates`` does first-seen dedup, its own
+      check_and_add in process (cross-shard urls are disjoint, so shard
+      results are arrival-order independent), and the insert-time
+      gate. Gated-OUT rows still consume discovery_seqs — exactly the
+      oracle's numbering, where gates run at round start.
     - per-host frontier counts are maintained incrementally driver-side
       (minus taken, plus cap overflow, plus gated-in candidates), so no
       counting pass touches the frontier.
@@ -822,9 +717,15 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     re-drop anyway.
 
     The seen gate is the one non-idempotent step: check_and_add both
-    tests AND inserts, so _reduce_candidates runs with max_retries=0 and
-    a worker death fails the crawl. Retry-safe rounds need a
-    contains-filter + insert-after-commit split."""
+    tests AND inserts, so the shard actors are never restarted nor their
+    calls retried, and a shard death fails the crawl. Retry-safe rounds
+    need a contains-filter + insert-after-commit split.
+
+    Ray runs one caller's calls on an actor in submission order, so a
+    call must never take an argument from a LATER call to the same shard
+    (it would wait forever). The loop submits producers first: prep,
+    mark, finish_taken, the fetches the reduce reads, the reduce,
+    finish_fresh, and only then the next round's marks."""
     visited_parts: list[pa.Table] = []
     page_refs: list = []  # every round's non-empty fetched blocks
     metrics: list[dict] = []
@@ -836,15 +737,16 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     # bookkeeping fan-out are unchanged)
     FP = max(1, -(-fetch_concurrency // K))
 
-    # warm bookkeeping actors (one per bucket; see _Keeper)
-    keepers = _keeper_pool(K)
+    # the leased seen shards, which also run the bookkeeping
+    shards = seen.shards
+    n = len(shards)
 
     # initial bucket split + insert-time gate (seeds / resumed frontier)
     bucket_parts: list[list] = [[] for _ in range(K)]
     counts: dict[str, int] = {}
     if frontier_tbl.num_rows:
         hb = _bucket_of(frontier_tbl.column("host").to_pylist())
-        prep = [keepers[i].run.options(num_returns=2).remote(
+        prep = [shards[i % n].run.options(num_returns=2).remote(
                     _prep_bucket, frontier_tbl.filter(pa.array(hb == i)),
                     gate, max_depth) for i in range(K)]
         bucket_parts = [[p[0]] for p in prep]
@@ -879,7 +781,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
         dist_taken = (rank_assign == "distributed" or
                       (rank_assign == "auto" and est_taken > rank_gather_limit))
         _ph("grant")
-        marks = [keepers[i].run.options(num_returns=4).remote(
+        marks = [shards[i % n].run.options(num_returns=4).remote(
                      _mark_bucket, grant_ref, order == "priority",
                      dist_taken, *bucket_parts[i])
                  for i in range(K)]
@@ -897,7 +799,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
         if dist_taken:
             rank_parts = distrank.assign_ranks(
                 [m[3] for m in marks], [i["sample"] for i in infos], n_taken)
-            fin = [keepers[i].run.options(num_returns=3).remote(
+            fin = [shards[i % n].run.options(num_returns=3).remote(
                        _finish_taken, m[0], room, *rank_parts[i])
                    for i, m in enumerate(marks)]
         else:
@@ -914,7 +816,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
             ranks = np.empty(n_taken, dtype=np.int64)
             ranks[order_ix] = np.arange(n_taken)
             bounds = np.concatenate(([0], np.cumsum(lens)))
-            fin = [keepers[i].run.options(num_returns=3).remote(
+            fin = [shards[i % n].run.options(num_returns=3).remote(
                        _finish_taken, m[0], room,
                        ranks[bounds[i]:bounds[i + 1]])
                    for i, m in enumerate(marks)]
@@ -943,18 +845,20 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
         fetched_refs = [p[0] for p in fpairs]
 
         # --- candidate shuffle submitted BEFORE the page hook: its
-        # explode/reduce tasks are the next round's critical path, and
-        # submission order is scheduling order among ready tasks ---
-        parts = [_explode_bucketed.remote(r) for r in fetched_refs]
+        # explodes and shard reduces are the next round's critical path,
+        # and submission order is scheduling order among ready tasks ---
+        parts = [_explode_bucketed.options(num_returns=n).remote(r, n)
+                 for r in fetched_refs]
+        if n == 1:
+            parts = [[p] for p in parts]
         # fresh-seq path choice at submit time: candidate volume is
         # unknown until reduce, so estimate pages x a generous links/page
         dist_fresh = (rank_assign == "distributed" or
                       (rank_assign == "auto" and
                        min(n_taken, room) * 64 > rank_gather_limit))
-        reduces = [_reduce_candidates.remote(
-            list(seen.shards), gate, max_depth, bool(checkpoint_dir),
-            dist_fresh,
-            *[parts[i][u] for i in range(len(parts))]) for u in range(KU)]
+        reduces = [shards[u].reduce_candidates.options(num_returns=3).remote(
+            gate, max_depth, bool(checkpoint_dir), dist_fresh,
+            *[p[u] for p in parts]) for u in range(n)]
         fresh_refs = [r[0] for r in reduces]
 
         _ph("submit")
@@ -988,8 +892,8 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
             fails = collections.Counter(
                 h for h, ok in zip(host_arr, ok_arr) if not ok)
             ok_hosts = {h for h, ok in zip(host_arr, ok_arr) if ok}
-            for h, n in fails.items():
-                politeness.record_failure(h, n)
+            for h, c in fails.items():
+                politeness.record_failure(h, c)
             for h in ok_hosts - set(fails):
                 politeness.record_success(h)
 
@@ -1029,11 +933,11 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
                 next_seq += n_fresh
                 fb = np.concatenate(([0], np.cumsum(flens)))
                 per_shard_parts = [[fseq[fb[u]:fb[u + 1]]]
-                                   for u in range(KU)]
-            for u in range(KU):
+                                   for u in range(n)]
+            for u in range(n):
                 if flens[u] == 0:
                     continue
-                outs = keepers[u % K].run.options(num_returns=K).remote(
+                outs = shards[u].run.options(num_returns=K).remote(
                     _finish_fresh, fresh_refs[u], *per_shard_parts[u])
                 for b in range(K):
                     add_per_bucket[b].append(outs[b])
@@ -1085,7 +989,8 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     pages = rd.from_arrow_refs(page_refs) if page_refs else None
     seen_shards = seen.memory_stats()
     seen_snapshot = seen.snapshot()
-    # every reduce has returned, so no task still writes to the shards
+    # every reduce has returned; release()'s reset queues behind any
+    # bookkeeping call still pending on a shard
     seen.release()
     stats = {"fetched": n_fetched, "rounds": rnd,
              "seen": sum(m["exact_keys"] + m["spilled_keys"] for m in seen_shards),

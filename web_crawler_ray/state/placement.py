@@ -1,14 +1,15 @@
-"""Multi-node actor placement for the crawl's stateful pools, and the
+"""Multi-node actor placement for the crawl's stateful pool, and the
 session key that decides which pooled handles belong to the live cluster.
 
-The seen-set shards and frontier keeper actors are zero-CPU actors
-created with default placement. On a
-single node that is irrelevant; on a 256-node cluster the default
-(locality-packed) policy can land every shard on the head node, turning
-the per-round seen-gate and mark fan-outs into one node's RPC queue.
-``spread_opts()`` adds ``scheduling_strategy="SPREAD"`` (Ray's
-round-robin-across-nodes policy) to the pools so shards/keepers land on
-distinct nodes and the per-round fan-out actually fans out.
+The seen-set shards are the crawl's only actors: zero-CPU actors that
+hold the seen set, run the candidate reduce and the per-bucket frontier
+bookkeeping. On a single node their placement is irrelevant; on a
+256-node cluster the default (locality-packed) policy can land every
+shard on the head node, turning the per-round reduce and mark fan-outs
+into one node's RPC queue. ``spread_opts()`` adds
+``scheduling_strategy="SPREAD"`` (Ray's round-robin-across-nodes
+policy) so the shards land on distinct nodes and the per-round fan-out
+actually fans out.
 
 Flag-guarded (``GRAFT_SPREAD_ACTORS``, default ON): SPREAD is a no-op
 on one node, but the flag keeps an escape hatch for deployments that
@@ -46,7 +47,7 @@ def session_pool(pools: dict, *key, factory):
     init/shutdown cycle in one process (bench runs several); the node id
     is unique per cluster instance. Entries of other sessions are pruned
     on a miss. The ONE place that decides when a pooled handle belongs
-    to the live cluster (the crawl's keeper pool and seen-shard pool)."""
+    to the live cluster (the seen-shard pool)."""
     ctx = ray.get_runtime_context()
     session = (ctx.get_node_id(), ctx.get_job_id())
     full = (*session, *key)

@@ -92,10 +92,11 @@ class RobotsIndex:
 
 
 # --- task-side evaluation ----------------------------------------------------
-# Broadcasting the raw robots map once (``ray.put``) lets every reduce/prep
-# task evaluate locally — a single robots actor's ``check`` RPC SERIALIZED
-# the K parallel candidate-reduce tasks each round (measured ~0.5-1 s/round
-# of critical-path wait at bench scale).
+# Broadcasting the raw robots map once (``ray.put``) lets every prep call
+# and every seen shard's candidate reduce evaluate locally — a single
+# robots actor's ``check`` RPC SERIALIZED the parallel candidate reduces
+# each round (measured ~0.5-1 s/round of critical-path wait at bench
+# scale).
 
 _LOCAL: dict = {}  # ref hex -> RobotsIndex (per worker process)
 

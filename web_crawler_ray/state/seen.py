@@ -1,5 +1,5 @@
 """Sharded URL-seen set: one sorted-uint64 exact tier per shard, with a
-bloom spill tier.
+bloom spill tier. The shards are also the crawl's only actors.
 
 The reference's seen set is a single in-process JS ``Set`` of canonical
 URLs (site-crawler.service.js:134-136).  The north star requires a
@@ -20,8 +20,11 @@ Design (scale story):
   enumerable; a bloom false positive SKIPS a new URL, at the bloom's fp
   rate (SCALE.md).
 
-Membership + insert are one message per shard per round
-(``check_and_add`` over a hash batch), not per URL.
+Membership + insert are one message per shard per round, not per URL.
+In a crawl that message is ``reduce_candidates``: links are partitioned
+by the same ``url_hash % n_shards``, so the shard that owns a url's key
+dedups, probes and gates it in process. The crawl's per-bucket frontier
+bookkeeping runs on the same actors through ``run(fn, *args)``.
 
 Lifecycle: a ``SeenSet`` LEASES its shard actors from a per-session pool
 and ``release()`` hands them back cleared, so a session starts the
@@ -34,7 +37,13 @@ actors die with them.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 import ray
+
+from ..functions.urltools import path_of
+from . import distrank
+from .robots_cache import RobotsGate, local_check
 
 _MIX = np.uint64(0x5BD1E995)
 
@@ -127,6 +136,72 @@ class _SeenShardImpl:
             self._maybe_spill()
         return new
 
+    def reduce_candidates(self, robots: RobotsGate, max_depth: int,
+                          want_hashes: bool, remote_keys: bool,
+                          *pieces: pa.Table):
+        """Reduce side of the crawl's candidate shuffle for the urls this
+        shard owns: in-round first-seen dedup (order: parent fetch rank,
+        link position) -> check_and_add -> depth + robots gate (gated-out
+        rows keep their discovery_seq via the __gated mask, matching the
+        oracle's numbering). NOT idempotent: check_and_add inserts as it
+        tests, so a repeated call returns no fresh rows; the actor is
+        therefore never restarted nor retried, and a dead shard fails the
+        crawl loudly instead of silently dropping urls.
+        Returns (fresh table incl. __gated, info, keys): info holds the
+        fresh rows' order keys, the gated rows' per-host counts and, when
+        checkpointing, the fresh url hashes. With ``remote_keys``
+        (rank_assign="distributed") the order keys come back instead as
+        one uint64 array ((parent_rank << 24) | link_idx, unique per
+        link) for state/distrank.py, and info carries only a count +
+        sample, so the driver never gathers O(candidates) keys."""
+        parts = [p for p in pieces if p.num_rows]
+        if not parts:
+            return None, None, None
+        t = pa.concat_tables(parts).combine_chunks()
+        t = t.sort_by([("parent_rank", "ascending"), ("link_idx", "ascending")])
+        urls = pd.Series(np.asarray(t.column("url")))
+        t = t.filter(pa.array(~urls.duplicated().to_numpy()))
+        fresh = self.check_and_add(t.column("url_hash").to_numpy())
+        t = t.filter(pa.array(fresh))
+        if t.num_rows == 0:
+            return None, None, None
+        gated = t.column("depth").to_numpy() <= max_depth
+        if gated.any():
+            paths = [path_of(u) for u in t.column("url").to_pylist()]
+            allowed = np.asarray(local_check(
+                robots.ref, t.column("host").to_pylist(), paths))
+            gated = gated & allowed
+        t = t.append_column("__gated", pa.array(gated, pa.bool_()))
+        gh, gc = np.unique(np.asarray(t.filter(pa.array(gated)).column("host")),
+                           return_counts=True)
+        info = {
+            "rank": None, "idx": None, "n": t.num_rows, "sample": None,
+            "host_counts": {str(h): int(c) for h, c in zip(gh, gc)},
+            "hashes": t.column("url_hash").to_numpy() if want_hashes else None,
+        }
+        if remote_keys:
+            rank = t.column("parent_rank").to_numpy()
+            idx = t.column("link_idx").to_numpy()
+            # unique per link occurrence; rank < 2^39 (bounded by this
+            # round's fetch count), idx < 2^24 (links per page). Explicit
+            # raise so the check survives `python -O` (ADVICE r3).
+            if len(idx) and (int(idx.max()) >= (1 << 24)
+                             or int(rank.max()) >= (1 << 39)):
+                raise ValueError(
+                    "fresh order key overflows uint64 encoding "
+                    f"(max link_idx={int(idx.max())}, "
+                    f"max parent_rank={int(rank.max())})")
+            keys = (rank.astype(np.uint64) << np.uint64(24)) | idx.astype(np.uint64)
+            info["sample"] = distrank.sample_keys(keys)
+            return t, info, keys
+        info["rank"] = t.column("parent_rank").to_numpy()
+        info["idx"] = t.column("link_idx").to_numpy()
+        return t, info, None
+
+    def run(self, fn, *args):
+        """Run a crawl bookkeeping kernel (stateless) in this warm process."""
+        return fn(*args)
+
     def snapshot(self) -> np.ndarray:
         """Sorted uint64 hashes — the bit-for-bit checkpoint artifact."""
         return self.keys
@@ -155,10 +230,10 @@ SeenShard = ray.remote(_SeenShardImpl)
 
 def scatter_check_and_add(shards: list, h: np.ndarray) -> np.ndarray:
     """Route hashes to their shard (hash mod n) and gather the NEW mask,
-    preserving input order — one RPC per shard per call. The ONE routing
-    implementation: used by the driver-side SeenSet (seeds, resume), by
-    the crawl's candidate-reduce tasks (crawl parity depends on both
-    using identical routing) and by ContentDedupStage."""
+    preserving input order — one RPC per shard per call. Used by the
+    driver-side SeenSet (seeds, resume) and by ContentDedupStage. The
+    crawl's candidate reduce routes by the same ``hash % n`` when it
+    partitions links, then probes its own shard in process."""
     h = np.asarray(h, dtype=np.uint64)
     out = np.zeros(len(h), dtype=bool)
     if len(h) == 0:
