@@ -169,23 +169,21 @@ def test_frontier_mode_other_than_dataset_raises(small_world):
 
 
 def test_dataset_mode_distributed_rank_parity(small_world, monkeypatch):
-    """rank_assign='distributed' (state/distrank.py sample-merge-rank —
-    the 10^8-rows/round path where the driver sees only samples+counts)
-    is bit-for-bit identical to the driver argsort path and the oracle,
-    fifo and priority. DEFAULT_CHUNK is shrunk so multiple range tasks
-    are actually exercised at test scale (R > 1)."""
+    """Multi-range rank assignment (state/distrank.py sample-merge-rank
+    with R > 1 ranges — the 10^8-rows/round shape, where the driver sees
+    only samples + counts) is bit-for-bit identical to the oracle, fifo
+    and priority. DEFAULT_CHUNK is shrunk so multiple range calls are
+    actually exercised at test scale."""
     from web_crawler_ray.state import distrank
     monkeypatch.setattr(distrank, "DEFAULT_CHUNK", 8)
     tbl, robots, seeds, by_url = small_world
     for kw in ({"round_seconds": None, "max_pages": 60, "max_depth": 2},
                {"round_seconds": 4.0, "max_pages": 80, "max_depth": 3,
                 "order": "priority"}):
-        o_order, _, _ = oracle_crawl(by_url, robots, seeds, **kw)
-        d = _run_engine(tbl, robots, seeds, rank_assign="driver", **kw)
-        e = _run_engine(tbl, robots, seeds, rank_assign="distributed", **kw)
-        assert e[0] == d[0] == o_order, kw
-        assert np.array_equal(e[1], d[1]), kw
-        assert e[2]["fetched"] == d[2]["fetched"]
+        o_order, o_seen, _ = oracle_crawl(by_url, robots, seeds, **kw)
+        e_order, e_seen, _ = _run_engine(tbl, robots, seeds, **kw)
+        assert e_order == o_order, kw
+        assert np.array_equal(e_seen, np.array(o_seen, dtype=np.uint64)), kw
 
 
 def test_crawl_with_seen_spill_matches_unspilled(small_world):
@@ -237,7 +235,7 @@ def test_round_seen_metric_counts_inserted_keys(small_world, tmp_path):
 def test_hot_host_world_distributed_ranks_full_parity(ray_session, monkeypatch):
     """VERDICT r3 #7: a FULL crawl on a 1-host-dominant world (skew=3.0:
     host 0 holds ~an order of magnitude more pages than the rest) with
-    FORCED distributed rank assignment — the hot-shard case where one
+    multi-range rank assignment — the hot-shard case where one
     frontier bucket dwarfs the others — must stay bit-for-bit with the
     oracle, including the politeness/backoff stats (same grants -> same
     request/failure counters)."""
@@ -255,8 +253,7 @@ def test_hot_host_world_distributed_ranks_full_parity(ray_session, monkeypatch):
                {"round_seconds": 3.0, "max_pages": 160, "max_depth": 3,
                 "order": "priority", "backoff": True}):
         o_order, o_seen, o_stats = oracle_crawl(by_url, robots, seeds, **kw)
-        e_order, e_seen, e_stats = _run_engine(
-            tbl, robots, seeds, rank_assign="distributed", **kw)
+        e_order, e_seen, e_stats = _run_engine(tbl, robots, seeds, **kw)
         assert e_order == o_order, kw
         assert np.array_equal(e_seen, np.array(o_seen, dtype=np.uint64))
         assert e_stats["politeness"] == o_stats["politeness"], kw
@@ -331,7 +328,7 @@ def test_reduce_candidates_is_not_idempotent(ray_session):
 
     def reduce_once():
         return tuple(ray.get(seen.shards[0].reduce_candidates.options(
-            num_returns=3).remote(gate, 3, False, False, piece)))
+            num_returns=3).remote(gate, 3, False, piece)))
 
     try:
         fresh, info, _ = reduce_once()
@@ -341,6 +338,33 @@ def test_reduce_candidates_is_not_idempotent(ray_session):
         seen.release()
     opts = SeenShard._default_options
     assert not opts.get("max_restarts") and not opts.get("max_task_retries")
+
+
+def test_mark_bucket_info_is_o_hosts_not_o_rows():
+    """A mark call hands the driver per-host counts, a row count and a
+    key sample only: a 6k-row bucket's taken keys stay in the call's
+    4th return (sorted, for state/distrank.py), and the sample is at
+    most distrank.SAMPLES keys."""
+    from web_crawler_ray.pipelines.crawl import _frontier_table, _mark_bucket
+    from web_crawler_ray.state import distrank
+
+    rng = np.random.default_rng(5)
+    n_rows, n_hosts = 6000, 20
+    hosts = [f"h{i % n_hosts}.example" for i in range(n_rows)]
+    urls = [f"https://{h}/p{i}" for i, h in enumerate(hosts)]
+    seqs = rng.permutation(n_rows)
+    bucket = _frontier_table(urls, hosts, [1] * n_rows, seqs)
+    grant = {f"h{i}.example": 150 for i in range(n_hosts)}
+    for encode_pri in (False, True):
+        taken, deferred, info, keys = _mark_bucket(
+            grant, encode_pri, bucket.slice(0, 2500), bucket.slice(2500))
+        assert set(info) == {"taken_per_host", "n", "sample"}
+        assert info["n"] == taken.num_rows == len(keys) == 150 * n_hosts
+        assert deferred.num_rows == n_rows - info["n"]
+        assert info["taken_per_host"] == grant
+        assert 0 < len(info["sample"]) <= distrank.SAMPLES
+        assert np.all(np.diff(keys.astype(np.int64)) > 0)
+        assert np.isin(info["sample"], keys).all()
 
 
 def _ids(shards) -> list[str]:

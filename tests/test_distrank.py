@@ -1,14 +1,16 @@
 """assign_ranks (state/distrank.py) must equal a global argsort.
 
-The distributed sample-merge-rank is the >rank_gather_limit path for
-dataset-mode fetch-rank / discovery_seq assignment; these tests pin its
-equivalence with the driver-side argsort it replaces, across shard
-emptiness, single- and multi-range splits, and skewed key layouts.
+The sample-merge-rank is how the crawl assigns every round's fetch
+ranks and discovery_seqs, with its kernels running on the crawl's
+leased seen shards; these tests run it on three leased shards and pin
+its equivalence with one global argsort, across shard emptiness,
+single- and multi-range splits, and skewed key layouts.
 """
 import numpy as np
 import ray
 
 from web_crawler_ray.state import distrank
+from web_crawler_ray.state.seen import SeenSet
 
 
 def _global_ranks(shards: list[np.ndarray], base: int = 0) -> list[np.ndarray]:
@@ -26,10 +28,14 @@ def _run(shards, base=0, chunk_target=None):
     refs = [ray.put(s) for s in shards]
     samples = [distrank.sample_keys(s) for s in shards]
     total = sum(len(s) for s in shards)
-    out = distrank.assign_ranks(refs, samples, total, base=base,
-                                chunk_target=chunk_target)
-    return [np.concatenate([np.asarray(r) for r in ray.get(parts)])
-            if parts else np.zeros(0, np.int64) for parts in out]
+    runners = SeenSet(n_shards=3)
+    try:
+        out = distrank.assign_ranks(runners.shards, refs, samples, total,
+                                    base=base, chunk_target=chunk_target)
+        return [np.concatenate([np.asarray(r) for r in ray.get(parts)])
+                if parts else np.zeros(0, np.int64) for parts in out]
+    finally:
+        runners.release()
 
 
 def _mk_shards(rng, n_shards, n_total):

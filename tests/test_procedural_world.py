@@ -1,4 +1,4 @@
-"""Procedural (storage-free) crawl world: rank-path parity, seen-set
+"""Procedural (storage-free) crawl world: rank-range parity, seen-set
 arithmetic (pages x (1+ghosts)), canonical fixed points, and the ghost
 links' insert-time robots gating (sources/procedural_world.py +
 crawl(fetch_stage=...))."""
@@ -50,14 +50,17 @@ def test_unknown_page_is_404(ray_session):
     assert out.column("links_canon").to_pylist() == [[]]
 
 
-def test_mode_parity_and_seen_arithmetic(ray_session):
+def test_mode_parity_and_seen_arithmetic(ray_session, monkeypatch):
+    from web_crawler_ray.state import distrank
     stage = ProceduralFetchStage(n_hosts=5, base=300, branching=4, ghosts=3)
     robots = procedural_robots(5)
     seeds = procedural_seeds(5)
     kw = dict(max_pages=10 ** 9, max_depth=12, round_seconds=None,
               keep_pages=False, n_seen_shards=4, fetch_stage=stage)
-    a = crawl(None, robots, seeds, rank_assign="driver", **kw)
-    b = crawl(None, robots, seeds, rank_assign="distributed", **kw)
+    a = crawl(None, robots, seeds, **kw)
+    # 64-key ranges: the deeper rounds' ranks and seqs merge R > 1 ranges
+    monkeypatch.setattr(distrank, "DEFAULT_CHUNK", 64)
+    b = crawl(None, robots, seeds, **kw)
     assert _order(a) == _order(b)
     assert np.array_equal(a.seen_snapshot, b.seen_snapshot)
     # every planned page fetched exactly once; ghosts discovered but

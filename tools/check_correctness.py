@@ -4,6 +4,7 @@ entry at sf0.01 and compare against oracle_sql() via DuckDB
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -43,7 +44,7 @@ def main():
     import logging
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     logging.getLogger("ray").setLevel(logging.ERROR)
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as m
 
     con = duckdb.connect()

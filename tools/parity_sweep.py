@@ -1,11 +1,12 @@
 """Adversarial parity sweep: N random (world, politeness, depth, cap,
-backoff, order, rank assignment, world profile) configurations, engine
+backoff, order, rank ranges, world profile) configurations, engine
 vs oracle, bit-for-bit fetch order + seen set. Run:
 python tools/parity_sweep.py [n_seeds]"""
+import os
 import random
 import sys
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main():
@@ -19,6 +20,7 @@ def main():
     from web_crawler_ray.oracle.reference_oracle import oracle_crawl
     from web_crawler_ray.pipelines.crawl import crawl
     from web_crawler_ray.sources import synth_world as W
+    from web_crawler_ray.state import distrank
 
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     fails = 0
@@ -29,11 +31,11 @@ def main():
     # Measured rounds at these configs: 33/23/76.
     deep = [
         dict(n_hosts=3, base=60, rs=2.0, md=10, mp=100000, bo=False,
-             order="priority", profile="v1", skew=0.7, ra="auto"),
+             order="priority", profile="v1", skew=0.7, ranges="one"),
         dict(n_hosts=5, base=40, rs=2.0, md=8, mp=100000, bo=True,
-             order="fifo", profile="v1", skew=0.7, ra="distributed"),
+             order="fifo", profile="v1", skew=0.7, ranges="many"),
         dict(n_hosts=2, base=80, rs=1.0, md=10, mp=100000, bo=False,
-             order="priority", profile="v2", skew=0.7, ra="auto"),
+             order="priority", profile="v2", skew=0.7, ranges="one"),
     ]
     for seed in range(100, 100 + n):
         rng = random.Random(seed)
@@ -42,12 +44,12 @@ def main():
                    mp=rng.choice([9, 33, 100000]), bo=rng.choice([False, True]),
                    order=rng.choice(["fifo", "priority"]),
                    profile=rng.choice(["v1", "v1", "v2"]),
-                   # hot-host world (one dominant host) + forced
-                   # distributed rank assignment in the config space
-                   # (VERDICT r3 #7); skew only changes host sizes, the
-                   # oracle is world-agnostic
+                   # hot-host world (one dominant host) + multi-range
+                   # rank assignment in the config space (VERDICT r3
+                   # #7); skew only changes host sizes, the oracle is
+                   # world-agnostic
                    skew=rng.choice([0.7, 0.7, 0.7, 3.0]),
-                   ra=rng.choice(["auto", "distributed"]))
+                   ranges=rng.choice(["one", "many"]))
         if seed - 100 < len(deep):
             cfg = deep[seed - 100]
         tbl, robots, seeds = W.world(seed=seed, n_hosts=cfg["n_hosts"],
@@ -57,10 +59,18 @@ def main():
         o_order, o_seen, _ = oracle_crawl(by_url, robots, seeds, max_pages=cfg["mp"],
                                           max_depth=cfg["md"], round_seconds=cfg["rs"],
                                           backoff=cfg["bo"], order=cfg["order"])
-        res = crawl(tbl, robots, seeds, max_pages=cfg["mp"], max_depth=cfg["md"],
-                    round_seconds=cfg["rs"], backoff=cfg["bo"], order=cfg["order"],
-                    keep_pages=False, n_seen_shards=rng.choice([1, 3, 8]),
-                    rank_assign=cfg["ra"])
+        # "many": 8-key ranges, so every round of any size merges R > 1
+        # rank ranges; "one": the default chunk, one range per round
+        chunk = distrank.DEFAULT_CHUNK
+        if cfg["ranges"] == "many":
+            distrank.DEFAULT_CHUNK = 8
+        try:
+            res = crawl(tbl, robots, seeds, max_pages=cfg["mp"],
+                        max_depth=cfg["md"], round_seconds=cfg["rs"],
+                        backoff=cfg["bo"], order=cfg["order"],
+                        keep_pages=False, n_seen_shards=rng.choice([1, 3, 8]))
+        finally:
+            distrank.DEFAULT_CHUNK = chunk
         e_order = list(zip(res.visited.column("round").to_pylist(),
                            res.visited.column("discovery_seq").to_pylist(),
                            res.visited.column("url").to_pylist()))

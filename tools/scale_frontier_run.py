@@ -10,8 +10,6 @@ scale path at once:
 
 - seen_spill_threshold=150k: every shard's exact tier spills to the
   bloom tier (10.2M/32 shards ~= 320k keys/shard > 150k),
-- rank_assign="distributed": per-round fetch ranks via
-  state/distrank.py sample-merge-rank (driver sees samples+counts),
 - visited_spill_dir: the visited table goes to per-round parquet, not
   driver RAM.
 
@@ -63,7 +61,6 @@ def main():
                     max_pages=10 ** 9, max_depth=12, round_seconds=None,
                     keep_pages=False, n_seen_shards=32,
                     seen_spill_threshold=150_000,
-                    rank_assign="distributed",
                     fetch_concurrency=cpus,
                     visited_spill_dir=spill_dir,
                     fetch_stage=stage)

@@ -15,9 +15,10 @@ Scale notes (10^10-URL frontier, multi-node):
   ONE Dataset when the crawl ends; a plain task per round checkpoints
   its pages to parquet (resume = skip complete rounds).
 - The frontier is sharded object-store state: K hash(host) buckets of
-  Arrow tables, gated once at insert time. The driver only sees int
-  order keys per round (or, above ``rank_gather_limit``, per-shard
-  samples and counts — state/distrank.py).
+  Arrow tables, gated once at insert time. Fetch ranks and
+  discovery_seqs come from a sample-merge-rank on the seen shards
+  (state/distrank.py): the driver sees per-shard samples and counts,
+  never the order keys.
 - The seen set's shard actors are the crawl's only actors. ONE
   ``reduce_candidates`` call per shard per round dedups, probes and
   gates the links it owns (url_hash % n_seen_shards), and the
@@ -313,9 +314,8 @@ def _encode_taken_keys(taken: pa.Table, encode_pri: bool) -> np.ndarray:
     keys = seq.astype(np.uint64)
     if encode_pri and len(keys):
         # explicit raise (not assert): this bound check must survive
-        # `python -O` — an overflow would silently corrupt the
-        # distributed rank order on exactly the huge-round paths the
-        # encoding exists for (ADVICE r3)
+        # `python -O` — an overflow would silently corrupt every
+        # round's fetch order (ADVICE r3)
         if int(seq.max()) >= (1 << 56):
             raise ValueError("discovery_seq overflows uint64 order key "
                              f"(max={int(seq.max())} >= 2^56)")
@@ -324,8 +324,7 @@ def _encode_taken_keys(taken: pa.Table, encode_pri: bool) -> np.ndarray:
     return keys
 
 
-def _mark_bucket(grant: dict, encode_pri: bool = False,
-                 remote_keys: bool = False, *parts: pa.Table):
+def _mark_bucket(grant: dict, encode_pri: bool = False, *parts: pa.Table):
     """Select one frontier bucket's granted per-host prefix (in round
     order) vs the deferred rest. The bucket arrives as concat PARTS
     (previous rest + this round's gated-in candidate parts) in ANY
@@ -337,17 +336,15 @@ def _mark_bucket(grant: dict, encode_pri: bool = False,
     order — distrank's per-shard precondition); ``deferred`` keeps
     arrival order, which no consumer relies on.
 
-    Returns (taken, deferred, info, keys): info carries the per-host
-    taken counts plus the taken rows' ORDER KEYS (ints only) for the
-    driver-side global argsort — or, with ``remote_keys``
-    (rank_assign="distributed"), only a count + sample while the full
-    encoded key array rides in the 4th return for state/distrank.py,
-    so the driver never gathers O(round) keys."""
+    Returns (taken, deferred, info, keys): ``keys`` are the taken rows'
+    sorted order keys, which stay on this shard for state/distrank.py;
+    info carries only the per-host taken counts, the row count and a
+    key sample, so the driver never gathers O(round) keys."""
     parts = [p for p in parts if p is not None and p.num_rows]
     if not parts:
         e = _frontier_table([], [], [], [])
-        return e, e, {"taken_per_host": {}, "pri": None, "seq": None,
-                      "n": 0, "sample": None}, None
+        keys = np.zeros(0, np.uint64)
+        return e, e, {"taken_per_host": {}, "n": 0, "sample": keys}, keys
     tbl = (pa.concat_tables(parts).combine_chunks() if len(parts) > 1
            else parts[0])
     keys_all = _encode_taken_keys(tbl, encode_pri)
@@ -363,27 +360,20 @@ def _mark_bucket(grant: dict, encode_pri: bool = False,
     deferred = tbl.filter(pa.array(~mask))
     th = np.asarray(taken.column("host"))
     uh, uc = np.unique(th, return_counts=True)
+    keys = keys_all[taken_idx]
     info = {"taken_per_host": {str(h): int(c) for h, c in zip(uh, uc)},
-            "pri": None, "seq": None, "n": taken.num_rows, "sample": None}
-    if remote_keys:
-        keys = keys_all[taken_idx]
-        info["sample"] = distrank.sample_keys(keys)
-        return taken, deferred, info, keys
-    info["pri"] = taken.column("priority").to_numpy()
-    info["seq"] = taken.column("discovery_seq").to_numpy()
-    return taken, deferred, info, None
+            "n": taken.num_rows, "sample": distrank.sample_keys(keys)}
+    return taken, deferred, info, keys
 
 
 def _finish_taken(tbl: pa.Table, room: int, *rank_parts):
     """Append the global fetch_rank and apply the max_pages cap: rows with
     rank < room are this round's fetch list, the rest flow back to the
-    deferred frontier (minus the rank column). ``rank_parts`` is one
-    driver-built array (rank_assign="driver") or this bucket's distrank
-    range slices in range order (= the bucket's sorted row order, since
-    ranges are contiguous runs of it). Returns
+    deferred frontier (minus the rank column). ``rank_parts`` are this
+    bucket's distrank range slices in range order (= the bucket's sorted
+    row order, since ranges are contiguous runs of it). Returns
     (fetch_tbl, overflow_tbl, overflow per-host counts)."""
-    ranks = (np.concatenate([np.asarray(p) for p in rank_parts])
-             if len(rank_parts) != 1 else np.asarray(rank_parts[0]))
+    ranks = np.concatenate(rank_parts)
     tbl = tbl.append_column("fetch_rank", pa.array(ranks, pa.int64()))
     # ranks are GLOBAL positions: a bucket smaller than room can still
     # hold rows past the cap, so the fast path needs max(rank) < room
@@ -436,14 +426,13 @@ def _explode_bucketed(tbl: pa.Table, n: int):
 
 
 def _finish_fresh(tbl: pa.Table, *seq_parts):
-    """Append the driver-assigned discovery_seqs (covering gated-out rows
-    too — they consume seqs, as in the oracle), drop gated-out rows,
+    """Append the distrank-assigned discovery_seqs (covering gated-out
+    rows too — they consume seqs, as in the oracle), drop gated-out rows,
     build frontier-schema columns, and partition by hash(host) into the K
-    frontier buckets (num_returns=K at the call site). ``seq_parts`` is
-    one driver-built array or this shard's distrank range slices in
-    range order (= the shard's sorted (parent_rank, link_idx) order)."""
-    seqs = (np.concatenate([np.asarray(p) for p in seq_parts])
-            if len(seq_parts) != 1 else np.asarray(seq_parts[0]))
+    frontier buckets (num_returns=K at the call site). ``seq_parts`` are
+    this shard's distrank range slices in range order (= the shard's
+    sorted (parent_rank, link_idx) order)."""
+    seqs = np.concatenate(seq_parts)
     tbl = tbl.append_column("discovery_seq", pa.array(seqs, pa.int64()))
     tbl = tbl.filter(tbl.column("__gated"))
     urls = tbl.column("url").to_pylist()
@@ -506,8 +495,6 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
           fetch_timeout: float = 15.0,
           page_hook=None,
           visited_spill_dir: str | None = None,
-          rank_assign: str = "auto",
-          rank_gather_limit: int = 4_000_000,
           fetch_stage=None) -> CrawlResult:
     """Run the round-based BFS. ``pages_store`` must be sorted by url_hash
     (pass ``None`` with ``fetcher="http"``); a ``PageStoreShards`` from
@@ -564,14 +551,6 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
     then EMPTY and ``CrawlResult.visited_dir`` points at the parquet
     (read lazily with ray.data.read_parquet; identical rows — asserted
     in tests).
-
-    ``rank_assign``: how per-round global fetch ranks / discovery_seqs
-    are assigned. ``"auto"`` (default) gathers per-bucket int order
-    keys to the driver below ``rank_gather_limit`` rows/round and
-    switches to the distributed sample-merge-rank (state/distrank.py —
-    driver sees samples + counts only) above it; ``"driver"`` /
-    ``"distributed"`` force a path. Both paths are bit-for-bit
-    identical (parity-tested).
     """
     if frontier_mode != "dataset":
         raise ValueError(f"frontier_mode={frontier_mode!r}: the only "
@@ -640,8 +619,7 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
         fetch_stage, RobotsGate(ray.put(robots_by_host)), seen, politeness,
         frontier, next_seq, n_seen, n_fetched, rnd, round_delta, max_pages,
         max_depth, checkpoint_dir, keep_pages, backoff, order, page_hook,
-        fetch_concurrency, visited_spill_dir, rank_assign,
-        rank_gather_limit)
+        fetch_concurrency, visited_spill_dir)
 
 
 _EMPTY_VISITED = pa.table({"round": pa.array([], pa.int32()),
@@ -673,9 +651,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
                           checkpoint_dir: str | None, keep_pages: bool,
                           backoff: bool, order: str, page_hook,
                           fetch_concurrency: int,
-                          visited_spill_dir: str | None,
-                          rank_assign: str,
-                          rank_gather_limit: int) -> CrawlResult:
+                          visited_spill_dir: str | None) -> CrawlResult:
     """The crawl's round loop. The frontier is sharded object-store
     state — K hash(host) buckets of Arrow tables, gated (depth + robots,
     both static per crawl) ONCE at insert time and kept as UNORDERED
@@ -691,15 +667,11 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     - mark: per bucket, take the granted per-host prefix in round order
       by argsorting the int ORDER KEYS only (see _mark_bucket); no
       merge/sort task runs between rounds.
-    - rank / seq assignment: per-bucket ORDER KEYS (ints only — never
-      urls/html) are gathered to the driver, argsorted, and the ranks
-      shipped back per bucket. O(round x ~12 B) driver traffic — the
-      same O(round-metadata) class as the visited collection. Above
-      ``rank_gather_limit`` rows (or with ``rank_assign="distributed"``)
-      even the int-key gather is skipped: state/distrank.py assigns
-      identical ranks by a sample-merge-rank (driver sees per-shard
-      samples + counts only — the 10^8-rows/round path; forced-
-      distributed parity pinned in tests/test_crawl_parity.py).
+    - rank / seq assignment: the marks' and the reduces' sorted ORDER
+      KEYS stay on the shards; state/distrank.py merges them into global
+      fetch ranks and discovery_seqs on the same shards, and the driver
+      sees only per-shard samples and counts (multi-range parity pinned
+      in tests/test_crawl_parity.py).
     - candidate shuffle: explode tasks partition links by the seen
       set's routing key, url_hash % n (map side); each shard's
       ``reduce_candidates`` does first-seen dedup, its own
@@ -724,12 +696,14 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     Ray runs one caller's calls on an actor in submission order, so a
     call must never take an argument from a LATER call to the same shard
     (it would wait forever). The loop submits producers first: prep,
-    mark, finish_taken, the fetches the reduce reads, the reduce,
-    finish_fresh, and only then the next round's marks."""
+    mark, the fetch-rank calls, finish_taken, the fetches the reduce
+    reads, the reduce, the seq-rank calls, finish_fresh, and only then
+    the next round's marks. Every rank call takes refs only from marks
+    or reduces submitted before it, and its outputs are read only by the
+    finish_taken / finish_fresh calls submitted after it."""
     visited_parts: list[pa.Table] = []
     page_refs: list = []  # every round's non-empty fetched blocks
     metrics: list[dict] = []
-    max_rounds = rnd + 10_000
     order_cols = (["priority", "discovery_seq"] if order == "priority"
                   else ["discovery_seq"])
     # fetch slices per bucket: don't cap the fetch wave at K-way when
@@ -769,21 +743,16 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
             r[name] = r.get(name, 0.0) + (now - _pt[0])
         _pt[0] = now
 
-    while counts and n_fetched < max_pages and rnd < max_rounds:
+    while counts and n_fetched < max_pages:
         phases_rounds.append({})
         _ph("idle")
         rows_in = sum(counts.values())
         grant = politeness.grant(counts)
         grant_ref = ray.put(grant)
-        # upper bound on this round's taken rows, known pre-mark: picks
-        # the rank-assignment path (driver int-key argsort vs distrank)
-        est_taken = sum(min(c, grant.get(h, 0)) for h, c in counts.items())
-        dist_taken = (rank_assign == "distributed" or
-                      (rank_assign == "auto" and est_taken > rank_gather_limit))
         _ph("grant")
         marks = [shards[i % n].run.options(num_returns=4).remote(
                      _mark_bucket, grant_ref, order == "priority",
-                     dist_taken, *bucket_parts[i])
+                     *bucket_parts[i])
                  for i in range(K)]
         deferred_parts = [[m[1]] for m in marks]
         infos = ray.get([m[2] for m in marks])
@@ -791,35 +760,17 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
         for info in infos:
             for h, c in info["taken_per_host"].items():
                 counts[h] -= c
-        lens = np.array([i["n"] for i in infos], dtype=np.int64)
-        n_taken = int(lens.sum())
+        n_taken = sum(i["n"] for i in infos)
         if n_taken == 0:
             break  # safety; unreachable while counts is nonempty
         room = max_pages - n_fetched
-        if dist_taken:
-            rank_parts = distrank.assign_ranks(
-                [m[3] for m in marks], [i["sample"] for i in infos], n_taken)
-            fin = [shards[i % n].run.options(num_returns=3).remote(
-                       _finish_taken, m[0], room, *rank_parts[i])
-                   for i, m in enumerate(marks)]
-        else:
-            key_seq = [np.asarray(i["seq"]) if i["seq"] is not None
-                       else np.zeros(0, np.int64) for i in infos]
-            cat_seq = np.concatenate(key_seq)
-            if order == "priority":
-                cat_pri = np.concatenate(
-                    [np.asarray(i["pri"]) if i["pri"] is not None
-                     else np.zeros(0, np.int8) for i in infos])
-                order_ix = np.lexsort((cat_seq, cat_pri))
-            else:
-                order_ix = np.argsort(cat_seq, kind="stable")
-            ranks = np.empty(n_taken, dtype=np.int64)
-            ranks[order_ix] = np.arange(n_taken)
-            bounds = np.concatenate(([0], np.cumsum(lens)))
-            fin = [shards[i % n].run.options(num_returns=3).remote(
-                       _finish_taken, m[0], room,
-                       ranks[bounds[i]:bounds[i + 1]])
-                   for i, m in enumerate(marks)]
+        # bucket i's keys live on shards[i % n], where its split runs
+        rank_parts = distrank.assign_ranks(
+            shards, [m[3] for m in marks], [i["sample"] for i in infos],
+            n_taken)
+        fin = [shards[i % n].run.options(num_returns=3).remote(
+                   _finish_taken, m[0], room, *rank_parts[i])
+               for i, m in enumerate(marks)]
         fetch_refs = [f[0] for f in fin]
         for d in ray.get([f[2] for f in fin]):  # cap overflow back to counts
             for h, c in d.items():
@@ -851,13 +802,8 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
                  for r in fetched_refs]
         if n == 1:
             parts = [[p] for p in parts]
-        # fresh-seq path choice at submit time: candidate volume is
-        # unknown until reduce, so estimate pages x a generous links/page
-        dist_fresh = (rank_assign == "distributed" or
-                      (rank_assign == "auto" and
-                       min(n_taken, room) * 64 > rank_gather_limit))
         reduces = [shards[u].reduce_candidates.options(num_returns=3).remote(
-            gate, max_depth, bool(checkpoint_dir), dist_fresh,
+            gate, max_depth, bool(checkpoint_dir),
             *[p[u] for p in parts]) for u in range(n)]
         fresh_refs = [r[0] for r in reduces]
 
@@ -914,26 +860,12 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
         n_seen += n_fresh  # every fresh row is a key the shards inserted
         add_per_bucket: list[list] = [[] for _ in range(K)]
         if n_fresh:
-            if dist_fresh:
-                per_shard_parts = distrank.assign_ranks(
-                    [r[2] for r in reduces],
-                    [i["sample"] if i else None for i in rinfo],
-                    n_fresh, base=next_seq)
-                next_seq += n_fresh
-            else:
-                rk = [np.asarray(i["rank"]) if i else np.zeros(0, np.int64)
-                      for i in rinfo]
-                cat_rank = np.concatenate(rk)
-                cat_idx = np.concatenate(
-                    [np.asarray(i["idx"]) if i else np.zeros(0, np.int32)
-                     for i in rinfo])
-                order2 = np.lexsort((cat_idx, cat_rank))
-                fseq = np.empty(n_fresh, dtype=np.int64)
-                fseq[order2] = np.arange(next_seq, next_seq + n_fresh)
-                next_seq += n_fresh
-                fb = np.concatenate(([0], np.cumsum(flens)))
-                per_shard_parts = [[fseq[fb[u]:fb[u + 1]]]
-                                   for u in range(n)]
+            # url partition u's keys live on shards[u]
+            per_shard_parts = distrank.assign_ranks(
+                shards, [r[2] for r in reduces],
+                [i["sample"] if i else None for i in rinfo],
+                n_fresh, base=next_seq)
+            next_seq += n_fresh
             for u in range(n):
                 if flens[u] == 0:
                     continue
@@ -1021,21 +953,14 @@ def _write_checkpoint(ckpt_dir: str, rnd: int, frontier: pa.Table,
     hashes first seen that round) — O(new keys) per round instead of
     O(total), which is what makes checkpointing affordable at 10^10 keys;
     the full set is the union of deltas (resume_info reconstructs it, and
-    bit-for-bit comparison concatenates + sorts them). Goes through the
-    storage switch (parquet default; lance when available, SURVEY §7.0)."""
-    from ..sources.storage import DEFAULT_FORMAT, HAS_LANCE, write_table
-    fmt = DEFAULT_FORMAT if (DEFAULT_FORMAT != "lance" or HAS_LANCE) else "parquet"
+    bit-for-bit comparison concatenates + sorts them). Always parquet,
+    the one format resume_info reads."""
     d = os.path.join(ckpt_dir, f"round={rnd}")
     os.makedirs(d, exist_ok=True)
-    seen_tbl = pa.table({"url_hash": pa.array(seen_delta, pa.uint64())})
-    if fmt == "parquet":  # flat single-file layout kept for resume_info compat
-        pq.write_table(frontier, os.path.join(d, "frontier.parquet"))
-        pq.write_table(visited_delta, os.path.join(d, "visited.parquet"))
-        pq.write_table(seen_tbl, os.path.join(d, "seen_delta.parquet"))
-    else:  # pragma: no cover - lance path (not installed in sandbox)
-        write_table(frontier, os.path.join(d, "frontier"), fmt=fmt)
-        write_table(visited_delta, os.path.join(d, "visited"), fmt=fmt)
-        write_table(seen_tbl, os.path.join(d, "seen_delta"), fmt=fmt)
+    pq.write_table(frontier, os.path.join(d, "frontier.parquet"))
+    pq.write_table(visited_delta, os.path.join(d, "visited.parquet"))
+    pq.write_table(pa.table({"url_hash": pa.array(seen_delta, pa.uint64())}),
+                   os.path.join(d, "seen_delta.parquet"))
     with open(os.path.join(d, "metrics.json"), "w") as f:
         json.dump(metric, f)
     with open(os.path.join(d, "_COMPLETE"), "w") as f:

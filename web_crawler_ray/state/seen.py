@@ -137,8 +137,7 @@ class _SeenShardImpl:
         return new
 
     def reduce_candidates(self, robots: RobotsGate, max_depth: int,
-                          want_hashes: bool, remote_keys: bool,
-                          *pieces: pa.Table):
+                          want_hashes: bool, *pieces: pa.Table):
         """Reduce side of the crawl's candidate shuffle for the urls this
         shard owns: in-round first-seen dedup (order: parent fetch rank,
         link position) -> check_and_add -> depth + robots gate (gated-out
@@ -147,13 +146,12 @@ class _SeenShardImpl:
         tests, so a repeated call returns no fresh rows; the actor is
         therefore never restarted nor retried, and a dead shard fails the
         crawl loudly instead of silently dropping urls.
-        Returns (fresh table incl. __gated, info, keys): info holds the
-        fresh rows' order keys, the gated rows' per-host counts and, when
-        checkpointing, the fresh url hashes. With ``remote_keys``
-        (rank_assign="distributed") the order keys come back instead as
-        one uint64 array ((parent_rank << 24) | link_idx, unique per
-        link) for state/distrank.py, and info carries only a count +
-        sample, so the driver never gathers O(candidates) keys."""
+        Returns (fresh table incl. __gated, info, keys): ``keys`` are the
+        fresh rows' order keys, one sorted uint64 per row
+        ((parent_rank << 24) | link_idx, unique per link), which
+        state/distrank.py merges into discovery_seqs; info holds the row
+        count, a sample of the keys, the gated rows' per-host counts and,
+        when checkpointing, the fresh url hashes."""
         parts = [p for p in pieces if p.num_rows]
         if not parts:
             return None, None, None
@@ -174,29 +172,23 @@ class _SeenShardImpl:
         t = t.append_column("__gated", pa.array(gated, pa.bool_()))
         gh, gc = np.unique(np.asarray(t.filter(pa.array(gated)).column("host")),
                            return_counts=True)
+        rank = t.column("parent_rank").to_numpy()
+        idx = t.column("link_idx").to_numpy()
+        # unique per link occurrence; rank < 2^39 (bounded by this
+        # round's fetch count), idx < 2^24 (links per page). Explicit
+        # raise so the check survives `python -O` (ADVICE r3).
+        if int(idx.max()) >= (1 << 24) or int(rank.max()) >= (1 << 39):
+            raise ValueError(
+                "fresh order key overflows uint64 encoding "
+                f"(max link_idx={int(idx.max())}, "
+                f"max parent_rank={int(rank.max())})")
+        keys = (rank.astype(np.uint64) << np.uint64(24)) | idx.astype(np.uint64)
         info = {
-            "rank": None, "idx": None, "n": t.num_rows, "sample": None,
+            "n": t.num_rows, "sample": distrank.sample_keys(keys),
             "host_counts": {str(h): int(c) for h, c in zip(gh, gc)},
             "hashes": t.column("url_hash").to_numpy() if want_hashes else None,
         }
-        if remote_keys:
-            rank = t.column("parent_rank").to_numpy()
-            idx = t.column("link_idx").to_numpy()
-            # unique per link occurrence; rank < 2^39 (bounded by this
-            # round's fetch count), idx < 2^24 (links per page). Explicit
-            # raise so the check survives `python -O` (ADVICE r3).
-            if len(idx) and (int(idx.max()) >= (1 << 24)
-                             or int(rank.max()) >= (1 << 39)):
-                raise ValueError(
-                    "fresh order key overflows uint64 encoding "
-                    f"(max link_idx={int(idx.max())}, "
-                    f"max parent_rank={int(rank.max())})")
-            keys = (rank.astype(np.uint64) << np.uint64(24)) | idx.astype(np.uint64)
-            info["sample"] = distrank.sample_keys(keys)
-            return t, info, keys
-        info["rank"] = t.column("parent_rank").to_numpy()
-        info["idx"] = t.column("link_idx").to_numpy()
-        return t, info, None
+        return t, info, keys
 
     def run(self, fn, *args):
         """Run a crawl bookkeeping kernel (stateless) in this warm process."""
