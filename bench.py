@@ -2,7 +2,9 @@
 
 Plain run: one JSON line
   {"metric": "...", "value": <headline sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, "pages_per_sec": ...}
+   "queries": {...}, "sf": ..., "num_cpus": N, "pages_per_sec": ...,
+   "crawl_sec"/"locations_sec"/"documents_sec": the faster headline
+   run's crawl, extract_locations and assemble_documents seconds, ...}
 
 --scaling: runs the headline twice in FRESH processes (num_cpus=8 and 32)
 on the same input and prints throughputs + scaling efficiency
@@ -381,6 +383,10 @@ def main():
         "pages_per_sec": round(h["pages_per_sec"], 1),
         "locations": h["locations"],
         "rounds": h["rounds"],
+        # the chosen run's per-stage split: crawl, then the barrier tail
+        "crawl_sec": h["crawl_sec"],
+        "locations_sec": h["locations_sec"],
+        "documents_sec": h["documents_sec"],
         "headline_runs": [round(h1["sec"], 3), round(h2["sec"], 3)],
         "calibration_probes": p0,
     }))

@@ -658,19 +658,31 @@ import ray
 ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR")
 from web_crawler_ray.pipelines.crawl import crawl
+from web_crawler_ray.pipelines.flagship import assemble_documents, extract_locations
 from web_crawler_ray.sources import synth_world as W
+from web_crawler_ray.stages.classify import classify_batch
 tbl, robots, seeds = W.world(seed=42, n_hosts=4, pages_per_host_base=10)
 out = []
 t = threading.Thread(target=lambda: out.append(
-    crawl(tbl, robots, seeds).stats["fetched"]), daemon=True)
+    crawl(tbl, robots, seeds)), daemon=True)
 t.start()
 t.join(60)
-print("fetched", out[0] if out else "none (still waiting)")
+print("fetched", out[0].stats["fetched"] if out else "none (still waiting)")
 import ray._private.state as gcs
 print("alive actors", " ".join(sorted(
     a["ActorClassName"] for a in gcs.actors().values() if a["State"] == "ALIVE")))
+tail = []
+if out:
+    pages = out[0].pages
+    t = threading.Thread(target=lambda: tail.extend([
+        extract_locations(pages.map_batches(
+            classify_batch, batch_format="pyarrow")).count(),
+        assemble_documents(pages).count()]), daemon=True)
+    t.start()
+    t.join(60)
+print("tail", *tail if tail else ["none (still waiting)"])
 ray.shutdown()
-sys.exit(0 if out else 1)
+sys.exit(0 if len(tail) == 2 else 1)
 """
 
 
@@ -678,8 +690,10 @@ def test_crawl_completes_on_one_cpu_node():
     """A crawl finishes on a 1-CPU node: its state actors reserve no CPU,
     so the 1-CPU fetch task can be scheduled (a fractional reservation
     per actor left it pending forever). Its leased seen shards (the
-    default n_seen_shards=4) are the only actors it creates. Own node,
-    in a subprocess; the crawl gets 60 s."""
+    default n_seen_shards=4) are the only actors it creates. The
+    barrier tail (extract_locations' exchange waves, assemble_documents'
+    span tasks) then runs to completion on the same node. Own node, in
+    a subprocess; the crawl and the tail get 60 s each."""
     import os
     import re
     import subprocess
@@ -695,3 +709,7 @@ def test_crawl_completes_on_one_cpu_node():
     # a session starts (CrawlResult.pages), only the crawl's shards live
     alive = re.search(r"^alive actors (.*)$", p.stdout, re.M).group(1).split()
     assert [a for a in alive if a != "_StatsActor"] == ["_SeenShardImpl"] * 4
+    n_locs, n_docs = map(int, re.search(r"^tail (\d+) (\d+)$", p.stdout,
+                                        re.M).groups())
+    assert n_locs > 0 and n_docs == int(re.search(
+        r"^fetched (\d+)$", p.stdout, re.M).group(1))

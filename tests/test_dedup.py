@@ -458,3 +458,33 @@ def test_fuzzy_hash_exchange_equals_scalar_per_host(ray_session,
     assert len(rows) > len(want) > len(by_host)  # 329 rows -> 180
     assert sorted(map(tuple, got[cols].values.tolist())) == \
         sorted(tuple(r[c] for c in cols) for r in want)
+
+
+@pytest.mark.parametrize("exchange", ["hash_map_groups", "int_part_map"])
+def test_exchange_runs_lazy_upstream_once(ray_session, tmp_path, exchange):
+    """Both raw-task exchanges execute a lazy upstream plan exactly once:
+    a ``map_batches`` UDF leaves one marker file per call, and after the
+    exchange there is exactly one marker per input block. (Taking the
+    refs with a bare ``to_arrow_refs()`` ran the plan a second time for
+    its schema.)"""
+    import uuid
+    from web_crawler_ray.stages import shuffles
+
+    def mark(t: pa.Table) -> pa.Table:
+        first = t.column("k")[0].as_py()
+        (tmp_path / f"{first}-{uuid.uuid4().hex}").touch()
+        return t
+
+    blocks = [pa.table({"k": list(range(i, i + 10)),
+                        "v": [i] * 10}) for i in range(0, 50, 10)]
+    ds = rd.from_arrow_refs([ray.put(b) for b in blocks]).map_batches(
+        mark, batch_format="pyarrow", batch_size=None)
+    if exchange == "hash_map_groups":
+        out = shuffles.hash_map_groups(ds, "v", lambda g: g.head(1))
+        want = sorted(range(0, 50, 10))
+    else:
+        out = shuffles.int_part_map(ds, "v", lambda df: df, num_partitions=3)
+        want = list(range(50))
+    assert sorted(out.to_pandas()["k"].tolist()) == want
+    assert sorted(int(f.name.split("-")[0]) for f in tmp_path.iterdir()) \
+        == list(range(0, 50, 10))

@@ -1,7 +1,9 @@
 """End-to-end flagship pipeline: output determinism across parallelism."""
 
 import pandas as pd
+import pyarrow as pa
 import pytest
+import ray
 
 from web_crawler_ray.pipelines.flagship import run_flagship
 
@@ -106,11 +108,13 @@ def test_content_dedup_releases_cpu(ray_session):
 
 @pytest.mark.parametrize("fuzzy", [True, False])
 def test_extract_locations_equals_separate_enrich_chain(ray_session, fuzzy):
-    """extract_locations runs enrich + quality inside the fuzzy-dedup
-    exchange (or as one map stage without it); the rows equal the chain
-    with fuzzy_dedup followed by separate geocode_enrich_batch and
-    add_quality stages. With the exchange, the result is already
-    materialized: consuming it runs no further Ray Data job."""
+    """With ``fuzzy``, extract_locations runs extract + confidence filter
+    in the fuzzy-dedup exchange's split tasks and enrich + quality in its
+    reduce tasks (without it, one lazy map chain); the rows equal the
+    chain of separate ExtractStage / _conf_filter map stages, fuzzy_dedup
+    and separate geocode_enrich_batch and add_quality stages. With the
+    exchange, the result is already materialized: consuming it runs no
+    further Ray Data job."""
     from ray.data.dataset import MaterializedDataset
     from web_crawler_ray.pipelines.crawl import crawl
     from web_crawler_ray.pipelines.flagship import _conf_filter, extract_locations
@@ -141,6 +145,37 @@ def test_extract_locations_equals_separate_enrich_chain(ray_session, fuzzy):
     want = rows(ref)
     assert len(want) > 0
     assert rows(got) == want
+
+
+def test_crawl_pages_one_block_per_cpu_and_span_tasks(ray_session):
+    """crawl() returns its pages as at most one block per cluster CPU,
+    holding exactly the visited URLs once each, although the crawl
+    fetched more blocks than that (several rounds, 16 buckets each);
+    assemble_documents' span tasks over them give, per doc_id, what
+    SpanAssemblyStage gives in process over the same pages."""
+    from web_crawler_ray.pipelines.crawl import crawl
+    from web_crawler_ray.pipelines.flagship import assemble_documents
+    from web_crawler_ray.sources import synth_world as W
+    from web_crawler_ray.stages.extract import SpanAssemblyStage
+    tbl, robots, seeds = W.world(seed=42, n_hosts=4, pages_per_host_base=14)
+    res = crawl(tbl, robots, seeds, max_pages=1000, round_seconds=30.0)
+    assert res.stats["rounds"] > 1
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert 1 <= res.pages.num_blocks() <= cpus
+    pages = res.pages.to_arrow_refs()
+    assert len(pages) == res.pages.num_blocks()
+    urls = [u for t in ray.get(pages) for u in t.column("url").to_pylist()]
+    assert len(urls) == len(set(urls))
+    assert sorted(urls) == sorted(res.visited.column("url").to_pylist())
+
+    def by_doc(t: pa.Table) -> dict:
+        return dict(zip(t.column("doc_id").to_pylist(),
+                        t.column("spans").to_pylist()))
+    got = by_doc(pa.concat_tables(ray.get(
+        assemble_documents(res.pages).to_arrow_refs())))
+    want = by_doc(SpanAssemblyStage()(pa.concat_tables(ray.get(pages))))
+    assert len(got) == len(urls)
+    assert got == want
 
 
 def test_bulk_pipeline(tmp_path):

@@ -11,9 +11,10 @@ bit-for-bit (proved against the oracle in tests/test_crawl_parity.py).
 
 Scale notes (10^10-URL frontier, multi-node):
 - Page CONTENT never touches the driver: fetch + link extract run as
-  Ray tasks whose output blocks stay in the object store, wrapped into
-  ONE Dataset when the crawl ends; a plain task per round checkpoints
-  its pages to parquet (resume = skip complete rounds).
+  Ray tasks whose output blocks stay in the object store; when the
+  crawl ends, one concat task per CPU joins them into one page block
+  per CPU, wrapped into ONE Dataset. A plain task per round
+  checkpoints its pages to parquet (resume = skip complete rounds).
 - The frontier is sharded object-store state: K hash(host) buckets of
   Arrow tables, gated once at insert time. Fetch ranks and
   discovery_seqs come from a sample-merge-rank on the seen shards
@@ -55,6 +56,7 @@ from ..state.politeness import Politeness
 from ..state.robots_cache import RobotsGate, RobotsIndex, local_check
 from ..state.seen import SeenSet
 from ..stages.extract import extract_hrefs
+from ..stages.shuffles import concat_blocks, cpu_groups
 
 # Host-hash buckets: the frontier's ONE partitioning key, reused every
 # round, and the page store's shard key, so a per-bucket fetch task pulls
@@ -266,7 +268,9 @@ def _canonical_links(html: str, url: str, host: str) -> list[str]:
 @dataclass
 class CrawlResult:
     visited: pa.Table                 # (round, discovery_seq, url, host, depth)
-    pages: "rd.Dataset | None"        # fetched pages (url, html, xhr, provenance)
+    # fetched pages (url, html, xhr, provenance), round by round, as at
+    # most one block per cluster CPU; None when nothing was kept
+    pages: "rd.Dataset | None"
     seen_snapshot: np.ndarray         # sorted uint64 url hashes
     stats: dict = field(default_factory=dict)
     metrics: list = field(default_factory=list)
@@ -396,8 +400,8 @@ def _fetch_block(stage, tbl: pa.Table, meta_cols: tuple,
     startup per round (round-3 fixed-cost cut). Returns (fetched block,
     metadata projection) in ONE task — a separate 0-cpu projection task
     per block churned the worker pool (import storms => stragglers).
-    The fetched blocks stay in the object store; crawl() wraps the
-    non-empty ones of every round into one Dataset at the end.
+    The fetched blocks stay in the object store; crawl() joins the
+    non-empty ones of every round into one block per CPU at the end.
 
     ``part``/``n_parts`` slice the block INSIDE the task (zero extra
     data movement): fetch parallelism then isn't capped by the K=16
@@ -499,6 +503,11 @@ def crawl(pages_store: pa.Table, robots_by_host: dict[str, str], seeds: list[str
     """Run the round-based BFS. ``pages_store`` must be sorted by url_hash
     (pass ``None`` with ``fetcher="http"``); a ``PageStoreShards`` from
     ``put_page_store`` is used as is, a plain table is sharded here.
+
+    ``keep_pages``: return the fetched pages as ``CrawlResult.pages``,
+    one Dataset of at most one block per cluster CPU (a concat task per
+    CPU joins the rounds' fetch blocks when the crawl ends), so a tail
+    job over it runs one task per CPU. ``False`` keeps no page content.
 
     ``page_hook``: optional object whose ``consume_refs(refs)`` is called
     once per fetching round with that round's raw fetched-block refs
@@ -703,6 +712,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     finish_taken / finish_fresh calls submitted after it."""
     visited_parts: list[pa.Table] = []
     page_refs: list = []  # every round's non-empty fetched blocks
+    page_rows: list = []  # and their row counts
     metrics: list[dict] = []
     order_cols = (["priority", "discovery_seq"] if order == "priority"
                   else ["discovery_seq"])
@@ -847,6 +857,7 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
                       if m.num_rows]
         if keep_pages:
             page_refs += round_refs
+            page_rows += [m.num_rows for m in meta_parts if m.num_rows]
         if checkpoint_dir:
             pages_written = _write_pages.remote(
                 os.path.join(checkpoint_dir, f"round={rnd}", "pages"),
@@ -918,7 +929,12 @@ def _crawl_rounds_dataset(fetch_stage, gate: RobotsGate, seen, politeness,
     _pt[0] = time.perf_counter()
     visited = (pa.concat_tables(visited_parts) if visited_parts
                else _EMPTY_VISITED)
-    pages = rd.from_arrow_refs(page_refs) if page_refs else None
+    # one page block per CPU (contiguous round by round, balanced by
+    # rows): the tail's per-block jobs and from_arrow_refs' metadata
+    # read then run one task per CPU, not one per fetched block
+    pages = rd.from_arrow_refs(
+        [g[0] if len(g) == 1 else concat_blocks.remote(*g)
+         for g in cpu_groups(page_refs, page_rows)]) if page_refs else None
     seen_shards = seen.memory_stats()
     seen_snapshot = seen.snapshot()
     # every reduce has returned; release()'s reset queues behind any

@@ -12,10 +12,13 @@ Ray-Data restatement of ``POST /api/crawl`` + site-wide crawl
           -> geocode enrich (N13 synthetic) -> quality (A2)
     pages -> SpanAssemblyStage -> interleaved (doc_id, spans) documents
 
-No page content passes through the driver. ``extract_locations`` runs
-the extract chain eagerly as ONE Ray Data job into the fuzzy-dedup hash
-exchange, whose reduce tasks also enrich and score; documents stay a
-lazy streaming Dataset (content dedup aside, see assemble_documents).
+No page content passes through the driver, and the tail after the
+crawl's barrier is flat Ray task waves over ``crawl()``'s one page block
+per CPU. ``extract_locations`` runs extract -> confidence filter ->
+fuzzy keys in the fuzzy-dedup exchange's split tasks and enrich +
+quality in its reduce tasks, so the only Ray Data job left is the
+caller's classify map (one task per block). ``assemble_documents`` runs
+span assembly as one plain task per CPU's group of page blocks.
 """
 
 from __future__ import annotations
@@ -30,12 +33,26 @@ from ..stages.classify import classify_batch
 from ..stages.dedup import fuzzy_dedup
 from ..stages.enrich import add_quality, geocode_enrich_batch
 from ..stages.extract import ExtractStage, SpanAssemblyStage
+from ..stages.shuffles import arrow_refs, cpu_groups
 from .crawl import CrawlResult, crawl
+
+# pages per ExtractStage call: bounds the Python objects one call builds
+# from a (per-CPU, possibly large) page block
+_EXTRACT_BATCH = 64
 
 
 def _conf_filter(batch: pa.Table) -> pa.Table:
     """P1 (crawler.service.js:402-404): keep confidence >= 0.70."""
     return batch.filter(pc.greater_equal(batch.column("confidence"), 0.70))
+
+
+def _extract(pages: pa.Table) -> pa.Table:
+    """Pages -> extracted location rows with confidence >= 0.70, in
+    ``_EXTRACT_BATCH``-page slices (row-wise, so slicing is invisible)."""
+    stage = ExtractStage()
+    return pa.concat_tables([
+        _conf_filter(stage(pages.slice(i, _EXTRACT_BATCH)))
+        for i in range(0, max(pages.num_rows, 1), _EXTRACT_BATCH)])
 
 
 def _enrich(batch: pa.Table) -> pa.Table:
@@ -46,18 +63,24 @@ def _enrich(batch: pa.Table) -> pa.Table:
 def extract_locations(pages: rd.Dataset, fuzzy: bool = True,
                       early_stop: int | None = None) -> rd.Dataset:
     """pages -> final enriched location records: extract -> confidence
-    filter -> fuzzy dedup -> geocode enrich -> quality (the last two in
-    the dedup's reduce tasks; a lazy ``map_batches`` without ``fuzzy``).
+    filter -> fuzzy dedup -> geocode enrich -> quality.
+
+    With ``fuzzy`` (D3: per-host greedy@0.85) this runs EAGERLY as the
+    fuzzy-dedup exchange's two task waves: ``pages`` (its upstream plan,
+    e.g. a lazy classify map, executes once) feeds one split task per
+    CPU, which extracts, filters and derives the dedup keys; the reduce
+    tasks dedup, enrich and score. Without it, a lazy ``map_batches``
+    chain.
 
     ``early_stop``: P7 (professional-crawler.service.js:79-82) — stop at
     ≥N locations unless fetchAll; expressed as the streaming ``limit``
     (the honest batch equivalent per SURVEY §2.6)."""
-    locs = pages.map_batches(ExtractStage(), batch_format="pyarrow",
-                             batch_size=64, num_cpus=1)
-    locs = locs.map_batches(_conf_filter, batch_format="pyarrow")
-    if fuzzy:  # D3: per-host greedy@0.85 over the raw-task hash exchange
-        locs = fuzzy_dedup(locs, finish=_enrich)
+    if fuzzy:
+        locs = fuzzy_dedup(pages, prepare=_extract, finish=_enrich)
     else:
+        locs = pages.map_batches(ExtractStage(), batch_format="pyarrow",
+                                 batch_size=_EXTRACT_BATCH, num_cpus=1)
+        locs = locs.map_batches(_conf_filter, batch_format="pyarrow")
         locs = locs.map_batches(_enrich, batch_format="pyarrow",
                                 batch_size=512)
     if early_stop is not None:
@@ -74,7 +97,11 @@ def assemble_documents(pages: rd.Dataset, content_dedup: bool = False,
     html bytes were already seen anywhere in the run are dropped before
     span assembly (mirror/alias pages at web scale). That pass runs
     EAGERLY so its hash-shard actors can be killed when it ends (they
-    outlived a lazy pass's dropped Dataset)."""
+    outlived a lazy pass's dropped Dataset).
+
+    Span assembly runs EAGERLY as one plain Ray task per CPU's
+    contiguous group of page blocks (no Ray Data job); the returned
+    Dataset holds their outputs, one block per task."""
     if content_dedup:
         from ..stages.dedup import ContentDedupStage, ContentHashShard
         shards = [ContentHashShard.options(num_cpus=0).remote()
@@ -86,8 +113,14 @@ def assemble_documents(pages: rd.Dataset, content_dedup: bool = False,
         finally:
             for a in shards:
                 ray.kill(a)
-    return pages.map_batches(SpanAssemblyStage(), batch_format="pyarrow",
-                             batch_size=64)
+    return rd.from_arrow_refs([_assemble_spans.remote(*g)
+                               for g in cpu_groups(arrow_refs(pages))])
+
+
+@ray.remote
+def _assemble_spans(*blocks: pa.Table) -> pa.Table:
+    """SpanAssemblyStage over a group of page blocks (row-wise)."""
+    return SpanAssemblyStage()(pa.concat_tables(blocks))
 
 
 def run_flagship(seed: int = 42, n_hosts: int = 8, pages_per_host_base: int = 30,

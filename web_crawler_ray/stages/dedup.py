@@ -534,7 +534,7 @@ def _add_fuzzy_keys(batch: pa.Table) -> pa.Table:
     return out.append_column("fuzzy_host", pa.array(hosts, pa.string()))
 
 
-def fuzzy_dedup(ds, finish=None):
+def fuzzy_dedup(ds, prepare=None, finish=None):
     """D3 distributed: shuffle keyed by HOST (the crawl's single partition
     key — the reference dedups within one site, crawler.service.js:187-190),
     with postcode/geo-cell/city blocking applied within the host task.
@@ -547,17 +547,21 @@ def fuzzy_dedup(ds, finish=None):
     overhead per run on these tiny rows). _fuzzy_host_group imposes its
     own total scan order, so arrival order and partition count are
     invisible in the output rows (tests: scalar greedy per host).
-    ``finish`` (pa.Table -> pa.Table, row-wise) runs on the deduplicated
-    rows inside the reduce tasks.
+    ``prepare`` (pa.Table -> pa.Table, row-wise: input rows to location
+    rows) runs in the split tasks before the key derivation; ``finish``
+    (pa.Table -> pa.Table, row-wise) runs on the deduplicated rows
+    inside the reduce tasks.
 
-    Execution timing (ADVICE r3): this runs EAGERLY — it materializes
-    the upstream pipeline and submits the split wave at call time,
-    returning a Dataset lazy only over the reduce outputs."""
+    Execution timing: this runs EAGERLY — it executes the upstream
+    pipeline once, runs the split wave at call time and returns the
+    materialized reduce outputs (stages/shuffles.hash_map_groups)."""
     # key derivation rides inside the shuffle's split tasks — no separate
     # map_batches job for it
     from .shuffles import hash_map_groups
+    keys = _add_fuzzy_keys if prepare is None else (
+        lambda t: _add_fuzzy_keys(prepare(t)))
     return hash_map_groups(ds, "fuzzy_host", _fuzzy_host_group,
-                           prepare=_add_fuzzy_keys, finish=finish)
+                           prepare=keys, finish=finish)
 
 
 # ---------------------------------------------------------------------------

@@ -80,14 +80,43 @@ def _cluster_cpus() -> int:
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
+def cpu_groups(refs: list, rows=None) -> list[list]:
+    """Split ``refs`` into at most one contiguous group per CPU, each
+    holding about the same number of refs, or of rows when the per-ref
+    ``rows`` are given: ref i joins group floor(start_i * m / total),
+    where start_i counts the refs (rows) before it."""
+    m = _cluster_cpus()
+    w = np.ones(len(refs)) if rows is None else np.asarray(rows, np.float64)
+    start = np.cumsum(w) - w
+    g = (start * m // max(w.sum(), 1)).astype(np.int64)
+    cut = np.flatnonzero(np.diff(g)) + 1
+    return [refs[a:b] for a, b in zip([0, *cut], [*cut, len(refs)])
+            if a < b]
+
+
+def arrow_refs(ds: rd.Dataset) -> list:
+    """``ds``'s Arrow block refs from ONE execution of its plan.
+    ``Dataset.to_arrow_refs()`` on a lazy Dataset runs the plan and then
+    runs it again for ``schema()`` (Ray 2.49 caches no snapshot there),
+    so every lazy upstream UDF would run twice; ``materialize()`` keeps
+    the executed blocks and their schema. Free on a Dataset that is
+    already materialized, such as ``CrawlResult.pages``."""
+    return ds.materialize().to_arrow_refs()
+
+
+@ray.remote
+def concat_blocks(*tbls: pa.Table) -> pa.Table:
+    """One block from several (a plain task: no Ray Data job)."""
+    return pa.concat_tables(tbls)
+
+
 def _exchange(refs: list, key: str, P: int, mix: bool, prepare):
     """The map wave over ``refs``: one split task per CPU. Returns the
     per-task part refs and the partitions to reduce — the non-empty ones
     largest-first, or one (empty) partition so the schema survives."""
     m = _cluster_cpus()
     if len(refs) >= m:
-        step = -(-len(refs) // m)
-        tasks = [(refs[i:i + step], 0, 1) for i in range(0, len(refs), step)]
+        tasks = [(grp, 0, 1) for grp in cpu_groups(refs)]
     else:  # fewer blocks than slots: slice blocks inside the tasks
         per = -(-m // len(refs))
         tasks = [([r], p, per) for r in refs for p in range(per)]
@@ -123,7 +152,7 @@ def int_part_map(ds: rd.Dataset, key: str, fn,
     verify) this replaces the Dataset sort-shuffle's ~2 s fixed cost per
     call with two flat task waves. Same eager-execution caveat as
     hash_map_groups (module docstring)."""
-    refs = ds.to_arrow_refs()
+    refs = arrow_refs(ds)
     if not refs:
         return ds
     splits, live = _exchange(refs, key, num_partitions, False, prepare)
@@ -158,14 +187,17 @@ def hash_map_groups(ds: rd.Dataset, key: str, fn,
     ``num_partitions`` defaults to the cluster's CPU count. See module
     docstring for the exact-semantics condition.
 
-    EXECUTION TIMING (ADVICE r3): calling this EAGERLY executes the whole
-    upstream pipeline — ``to_arrow_refs()`` materializes ``ds`` and the
-    split wave is submitted at call time (ray.get on the part counts).
-    The returned Dataset is lazy only over the REDUCE outputs. Callers
-    that need streaming overlap with upstream stages should use the
-    native ``groupby().map_groups`` sort path instead; this shuffle
-    trades that laziness for two flat task waves with no sort barrier."""
-    refs = ds.to_arrow_refs()
+    EXECUTION TIMING: calling this EAGERLY executes the upstream
+    pipeline ONCE (``arrow_refs`` materializes ``ds``), submits the split
+    wave and waits on its part counts; ``prepare`` runs in that wave, so
+    per-row work moved into it (flagship.extract_locations moves the
+    whole extract chain there) costs no separate Ray Data job. The
+    returned Dataset holds the REDUCE outputs and is materialized: its
+    metadata read waits for the reduces. Callers that need streaming
+    overlap with upstream stages should use the native
+    ``groupby().map_groups`` sort path instead; this shuffle trades that
+    laziness for two flat task waves with no sort barrier."""
+    refs = arrow_refs(ds)
     if not refs:
         return ds
     splits, live = _exchange(refs, key, num_partitions or _cluster_cpus(),
