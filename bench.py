@@ -27,6 +27,12 @@ import subprocess
 import sys
 import time
 
+ROOT = os.path.dirname(os.path.abspath(__file__))
+# Ray workers import the package (it has no install) through the
+# PYTHONPATH they inherit from this process, whatever its cwd
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # bench world ~48k fetched pages: the quick-iteration correctness+

@@ -896,101 +896,6 @@ def test_clustering_coefficients_empty(ray_session):
     assert t.column_names == ["node", "n_triangles", "deg", "coeff"]
 
 
-def test_link_prediction_brute_and_parity(ray_session):
-    from web_crawler_ray.stages.graph import link_prediction_cn
-    rng = np.random.default_rng(89)
-    e = pa.table({"src": pa.array(rng.integers(0, 30, 200)),
-                  "dst": pa.array(rng.integers(0, 30, 200))})
-    ds = rd.from_arrow(e).repartition(4)
-    t = link_prediction_cn(ds, min_common=2)
-    adj = collections.defaultdict(set)
-    for s, d in zip(e.column("src").to_pylist(),
-                    e.column("dst").to_pylist()):
-        if s != d:
-            adj[s].add(d)
-            adj[d].add(s)
-    want = {}
-    nodes = sorted(adj)
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            if v in adj[u]:
-                continue
-            cn = len(adj[u] & adj[v])
-            if cn >= 2:
-                want[(u, v)] = (cn, len(adj[u]), len(adj[v]))
-    got = {(u, v): (c, du, dv) for u, v, c, du, dv in zip(
-        t.column("u").to_pylist(), t.column("v").to_pylist(),
-        t.column("n_common").to_pylist(),
-        t.column("deg_u").to_pylist(), t.column("deg_v").to_pylist())}
-    assert got == want
-    for u, v, c, du, dv, j in zip(
-            t.column("u").to_pylist(), t.column("v").to_pylist(),
-            t.column("n_common").to_pylist(),
-            t.column("deg_u").to_pylist(),
-            t.column("deg_v").to_pylist(),
-            t.column("jaccard").to_pylist()):
-        assert j == float(c) / float(du + dv - c)
-    d2 = link_prediction_cn(ds, min_common=2, driver_limit=0,
-                            num_partitions=3)
-    assert t.equals(d2)
-
-
-def test_link_prediction_empty_result_keeps_schema(ray_session):
-    from web_crawler_ray.stages.graph import link_prediction_cn
-    # path graph 0-1-2: only candidate (0,2) has 1 common neighbor
-    e = pa.table({"src": pa.array([0, 1], pa.int64()),
-                  "dst": pa.array([1, 2], pa.int64())})
-    for dl in (10**6, 0):
-        t = link_prediction_cn(rd.from_arrow(e), min_common=2,
-                               driver_limit=dl, num_partitions=2)
-        assert t.num_rows == 0
-        assert t.column_names == ["u", "v", "n_common", "deg_u",
-                                  "deg_v", "jaccard"]
-
-
-def test_label_propagation_brute_and_parity(ray_session):
-    from web_crawler_ray.stages.graph import label_propagation
-    rng = np.random.default_rng(163)
-    e = pa.table({"src": pa.array(rng.integers(0, 60, 250)),
-                  "dst": pa.array(rng.integers(0, 60, 250))})
-    ds = rd.from_arrow(e).repartition(5)
-    t = label_propagation(ds, seed_mod=7, n_labels=3, n_rounds=3)
-    # brute synchronous propagation
-    adj = collections.defaultdict(set)
-    for s, d in zip(e.column("src").to_pylist(),
-                    e.column("dst").to_pylist()):
-        if s != d:
-            adj[s].add(d)
-            adj[d].add(s)
-    nodes = sorted(adj)
-    lbl = {x: (x % 3 if x % 7 == 0 else -1) for x in nodes}
-    for _ in range(3):
-        new = dict(lbl)
-        for x in nodes:
-            if x % 7 == 0:
-                continue
-            votes = collections.Counter(
-                lbl[y] for y in adj[x] if lbl[y] >= 0)
-            if votes:
-                new[x] = min(votes, key=lambda k: (-votes[k], k))
-        lbl = new
-    got = dict(zip(t.column("node").to_pylist(),
-                   t.column("label").to_pylist()))
-    assert got == lbl
-    d2 = label_propagation(ds, seed_mod=7, n_labels=3, n_rounds=3,
-                           driver_limit=0, num_partitions=3)
-    assert t.equals(d2)
-
-
-def test_label_propagation_no_seeds_all_unlabeled(ray_session):
-    from web_crawler_ray.stages.graph import label_propagation
-    e = pa.table({"src": pa.array([1, 2], pa.int64()),
-                  "dst": pa.array([2, 3], pa.int64())})
-    t = label_propagation(rd.from_arrow(e), seed_mod=10**9,
-                          n_labels=4, n_rounds=2)
-    assert t.column("label").to_pylist() == [-1, -1, -1]
-
-
 def test_degree_assortativity_brute_and_parity(ray_session):
     from web_crawler_ray.stages.graph import degree_assortativity
     rng = np.random.default_rng(173)

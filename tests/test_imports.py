@@ -5,6 +5,7 @@ shuffles, queries -> stages) otherwise fail only when their code path
 runs."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "web_crawler_ray"
@@ -86,3 +87,42 @@ def test_every_package_import_resolves():
         if missing:
             bad.append(f"{where}: {mod} does not define {missing}")
     assert not bad, "\n".join(bad)
+
+
+ROOT = PKG.parent
+
+
+def _sources():
+    for d in ("web_crawler_ray", "tools", "perfbench", "tests"):
+        yield from sorted((ROOT / d).rglob("*.py"))
+    yield ROOT / "bench.py"
+    yield ROOT / "__ray_entry__.py"
+
+
+def _names(tree) -> Counter:
+    """Every Name id, Attribute attr and import alias in ``tree``."""
+    seen = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            seen[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            seen[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            seen.update(n.name.split("."))
+            if n.asname:
+                seen[n.asname] += 1
+    return seen
+
+
+def test_every_top_level_def_is_referenced():
+    # a package function or class that nothing names outside its own
+    # def (package, tools, perfbench, tests, entry points) is dead code
+    trees = {p: ast.parse(p.read_text()) for p in _sources()}
+    total = sum((_names(t) for t in trees.values()), Counter())
+    dead = [f"{p.relative_to(ROOT)}:{d.lineno} {d.name}"
+            for p, t in trees.items() if p.is_relative_to(PKG)
+            for d in t.body
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+            and total[d.name] == _names(d)[d.name]]
+    assert not dead, "\n".join(dead)

@@ -268,54 +268,6 @@ def test_zorder_code_matches_scalar_and_locality(ray_session):
         abs(_morton16(5, 9) - _morton16(5 ^ 0x8000, 9))
 
 
-# --- maximal independent set -------------------------------------------------
-
-def test_mis_properties_and_path_parity(ray_session):
-    from web_crawler_ray.stages.graph import maximal_independent_set
-    rng = np.random.default_rng(7)
-    m = 1500
-    u = rng.integers(0, 300, m).astype(np.int64)
-    v = rng.integers(0, 300, m).astype(np.int64)
-    t = pa.table({"src": pa.array(u), "dst": pa.array(v)})
-    a = maximal_independent_set(
-        rd.from_arrow(t).repartition(5)).to_pandas()
-    b = maximal_independent_set(
-        rd.from_arrow(t).repartition(5), driver_limit=0).to_pandas()
-    pd.testing.assert_frame_equal(a, b)   # driver == distributed
-    mis = set(a["node"])
-    edges = {(min(x, y), max(x, y)) for x, y in zip(u, v) if x != y}
-    adj = {}
-    for x, y in edges:
-        adj.setdefault(x, set()).add(y)
-        adj.setdefault(y, set()).add(x)
-    for x, y in edges:                     # independence
-        assert not (x in mis and y in mis)
-    for n in adj:                          # maximality
-        if n not in mis:
-            assert adj[n] & mis
-
-
-def test_mis_star_and_path_graphs(ray_session):
-    from web_crawler_ray.stages.graph import maximal_independent_set
-    # star: center + 50 leaves -> MIS is either all leaves or
-    # {center}+nothing; maximality forces all leaves unless the center
-    # has the minimum priority
-    u = np.zeros(50, np.int64)
-    v = np.arange(1, 51, dtype=np.int64)
-    t = pa.table({"src": pa.array(u), "dst": pa.array(v)})
-    got = set(maximal_independent_set(rd.from_arrow(t))
-              .column("node").to_pylist())
-    assert got == set(range(1, 51)) or got == {0}
-    # disconnected pairs: exactly one endpoint of each edge
-    t = pa.table({"src": pa.array(np.array([10, 20, 30], np.int64)),
-                  "dst": pa.array(np.array([11, 21, 31], np.int64))})
-    got = set(maximal_independent_set(rd.from_arrow(t))
-              .column("node").to_pylist())
-    assert len(got) == 3
-    for a, b in ((10, 11), (20, 21), (30, 31)):
-        assert (a in got) != (b in got)
-
-
 # --- sampled closeness -------------------------------------------------------
 
 def test_closeness_matches_brute_bfs(ray_session):
@@ -457,51 +409,6 @@ def test_kmv_set_ops_estimator_accuracy(ray_session):
     true_union = na + nb - overlap
     assert abs(out["est_union"].iloc[0] - true_union) / true_union < 0.2
     assert abs(out["est_intersection"].iloc[0] - overlap) / overlap < 0.35
-
-
-# --- DAG layers --------------------------------------------------------------
-
-def test_dag_layers_matches_brute_and_path_parity(ray_session):
-    from web_crawler_ray.stages.graph import dag_layers
-    rng = np.random.default_rng(17)
-    m = 1200
-    u = rng.integers(0, 200, m).astype(np.int64)
-    v = rng.integers(0, 200, m).astype(np.int64)
-    t = pa.table({"src": pa.array(u), "dst": pa.array(v)})
-    a = dag_layers(rd.from_arrow(t).repartition(5)).to_pandas()
-    b = dag_layers(rd.from_arrow(t).repartition(5),
-                   driver_limit=0).to_pandas()
-    pd.testing.assert_frame_equal(a, b)   # driver == distributed
-    # brute: orient by (deg, id), layer = longest in-path via peel
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    keep = lo != hi
-    uv = np.unique(np.stack([lo[keep], hi[keep]], 1), axis=0)
-    x, y = uv[:, 0], uv[:, 1]
-    nodes, inv = np.unique(np.concatenate([x, y]), return_inverse=True)
-    xi, yi = inv[:len(x)], inv[len(x):]
-    deg = np.bincount(np.concatenate([xi, yi]), minlength=len(nodes))
-    sw = (deg[xi] > deg[yi]) | ((deg[xi] == deg[yi])
-                               & (nodes[xi] > nodes[yi]))
-    du = np.where(sw, yi, xi)
-    dv = np.where(sw, xi, yi)
-    n = len(nodes)
-    layer = np.full(n, -1, np.int64)
-    alive = np.ones(n, bool)
-    r = 0
-    while alive.any():
-        indeg = np.bincount(dv[alive[du] & alive[dv]], minlength=n)
-        rem = alive & (indeg == 0)
-        layer[rem] = r
-        alive &= ~rem
-        r += 1
-    want = dict(zip(nodes.tolist(), layer.tolist()))
-    assert len(a) == len(want)
-    for _, row in a.iterrows():
-        assert want[int(row["node"])] == int(row["layer"])
-    # DAG invariant: every oriented edge goes to a strictly higher layer
-    lay = dict(zip(a["node"], a["layer"]))
-    for s, d in zip(nodes[du], nodes[dv]):
-        assert lay[int(s)] < lay[int(d)]
 
 
 # --- stream-stream window join -----------------------------------------------
@@ -750,42 +657,6 @@ def test_closeness_fast_path_equals_composed_path(ray_session):
                                  n_sources=3,
                                  driver_limit=0).to_pandas()
     pd.testing.assert_frame_equal(fast, composed)
-
-
-# --- k-truss -----------------------------------------------------------------
-
-def test_ktruss_parity_and_support_property(ray_session):
-    from web_crawler_ray.stages.graph import k_truss
-    import collections
-    rng = np.random.default_rng(27)
-    m = 2000
-    u = rng.integers(0, 120, m).astype(np.int64)
-    v = rng.integers(0, 120, m).astype(np.int64)
-    t = pa.table({"src": pa.array(u), "dst": pa.array(v)})
-    a = k_truss(rd.from_arrow(t).repartition(5), k=4).to_pandas()
-    b = k_truss(rd.from_arrow(t).repartition(5), k=4,
-                driver_limit=0).to_pandas()
-    pd.testing.assert_frame_equal(a, b)   # driver == distributed
-    adj = collections.defaultdict(set)
-    for x, y in zip(a["src"], a["dst"]):
-        adj[x].add(y)
-        adj[y].add(x)
-    for x, y in zip(a["src"], a["dst"]):
-        assert len(adj[x] & adj[y]) >= 2   # support within the truss
-
-
-def test_ktruss_shapes(ray_session):
-    from web_crawler_ray.stages.graph import k_truss
-    # a triangle survives 3-truss; a pendant edge does not
-    t = pa.table({"src": pa.array(np.array([1, 2, 3, 3], np.int64)),
-                  "dst": pa.array(np.array([2, 3, 1, 9], np.int64))})
-    got = k_truss(rd.from_arrow(t), k=3).to_pandas()
-    assert sorted(map(tuple, got.to_numpy().tolist())) == \
-        [(1, 2), (1, 3), (2, 3)]
-    # k=4 kills the lone triangle
-    got = k_truss(rd.from_arrow(t), k=4)
-    assert got.num_rows == 0
-    assert got.column_names == ["src", "dst"]
 
 
 # --- next-event accuracy -----------------------------------------------------

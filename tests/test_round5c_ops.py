@@ -280,63 +280,6 @@ def test_random_projection_exact_and_bounded(ray_session):
         assert got["y"].iloc[0] == y
 
 
-# --- strongly connected components -------------------------------------------
-
-def _brute_scc(u, v, n):
-    R = np.eye(n, dtype=bool)
-    A = np.zeros((n, n), bool)
-    A[u, v] = True
-    R = R | A
-    for _ in range(n):
-        R2 = R | (R @ R)
-        if (R2 == R).all():
-            break
-        R = R2
-    M = R & R.T
-    return np.array([np.flatnonzero(M[i]).min() for i in range(n)])
-
-
-def test_scc_driver_and_distributed_match_brute(ray_session):
-    from web_crawler_ray.stages.graph import scc_components
-    rng = np.random.default_rng(1)
-    for n, m in [(12, 20), (30, 60), (8, 10), (40, 45)]:
-        u = rng.integers(0, n, m).astype(np.int64)
-        v = rng.integers(0, n, m).astype(np.int64)
-        comp = _brute_scc(u, v, n)
-        present = np.unique(np.concatenate((u, v)))
-        want = {int(x): int(comp[x]) for x in present}
-        t = pa.table({"src": pa.array(u), "dst": pa.array(v)})
-        for dl in (10**6, 0):
-            out = scc_components(rd.from_arrow(t).repartition(3),
-                                 driver_limit=dl,
-                                 num_partitions=4).to_pandas()
-            got = dict(zip(out["node"], out["component"]))
-            assert got == want, (n, m, dl)
-
-
-def test_scc_shapes(ray_session):
-    from web_crawler_ray.stages.graph import scc_components
-    # directed cycle = one SCC; chain = singletons; two cycles joined
-    # by a one-way edge stay separate SCCs
-    cyc = pa.table({"src": pa.array([1, 2, 3], pa.int64()),
-                    "dst": pa.array([2, 3, 1], pa.int64())})
-    out = scc_components(rd.from_arrow(cyc)).to_pandas()
-    assert set(out["component"]) == {1}
-    chain = pa.table({"src": pa.array([1, 2, 3], pa.int64()),
-                      "dst": pa.array([2, 3, 4], pa.int64())})
-    out = scc_components(rd.from_arrow(chain)).to_pandas()
-    assert dict(zip(out["node"], out["component"])) == {
-        1: 1, 2: 2, 3: 3, 4: 4}
-    two = pa.table({
-        "src": pa.array([1, 2, 5, 6, 2], pa.int64()),
-        "dst": pa.array([2, 1, 6, 5, 5], pa.int64())})
-    for dl in (10**6, 0):
-        out = scc_components(rd.from_arrow(two), driver_limit=dl,
-                             num_partitions=3).to_pandas()
-        assert dict(zip(out["node"], out["component"])) == {
-            1: 1, 2: 1, 5: 5, 6: 5}
-
-
 # --- Bollinger bands ---------------------------------------------------------
 
 def _events(n=400, n_users=7, seed=11):
@@ -656,130 +599,6 @@ def test_decision_tree_score_matches_brute(ray_session):
             want.append(3)
     assert sorted(zip(out["a"], out["score"])) \
         == sorted(zip(a.tolist(), want))
-
-
-# --- radius-bounded Brandes betweenness --------------------------------------
-
-def _brute_bounded_brandes(edges, sources, radius):
-    import collections
-    adj = collections.defaultdict(set)
-    for s, t in edges:
-        if s != t:
-            adj[s].add(t)
-            adj[t].add(s)
-    cb = {}
-    for s in sources:
-        h = {s: 0}
-        sig = {s: 1}
-        levels = [[s]]
-        for r in range(radius):
-            nxt = {}
-            for x in levels[-1]:
-                for y in adj[x]:
-                    if y not in h or h[y] == r + 1:
-                        h[y] = r + 1
-                        nxt[y] = nxt.get(y, 0) + sig[x]
-            if not nxt:
-                break
-            sig.update(nxt)
-            levels.append(sorted(nxt))
-        delta = {v: 0.0 for lev in levels for v in lev}
-        for lev in range(len(levels) - 2, -1, -1):
-            for x in levels[lev]:
-                acc = 0.0
-                for w in sorted(y for y in adj[x]
-                                if h.get(y) == lev + 1):
-                    acc = acc + (float(sig[x]) / float(sig[w])) \
-                        * (1.0 + delta[w])
-                delta[x] = acc
-        for v, d in delta.items():
-            if v == s:
-                continue
-            cb[v] = cb.get(v, 0.0) + d
-    return cb
-
-
-def test_betweenness_matches_brute_both_paths(ray_session):
-    from web_crawler_ray.stages.graph import betweenness_landmarks
-    rng = np.random.default_rng(3)
-    src = rng.integers(0, 30, 120).astype(np.int64)
-    dst = rng.integers(0, 30, 120).astype(np.int64)
-    edges = list(zip(src.tolist(), dst.tolist()))
-    nodes = sorted({x for e in edges if e[0] != e[1] for x in e})
-    want = _brute_bounded_brandes(edges, nodes[:2], 4)
-    t = pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-    for dl in (10**6, 0):
-        out = betweenness_landmarks(
-            rd.from_arrow(t).repartition(3), n_sources=2, radius=4,
-            driver_limit=dl, num_partitions=4).to_pandas()
-        got = dict(zip(out["node"], out["cb"]))
-        assert set(got) == set(want), dl
-        for k in want:
-            assert got[k] == want[k], (dl, k)  # bit-exact fold parity
-
-
-def test_betweenness_path_graph(ray_session):
-    from web_crawler_ray.stages.graph import betweenness_landmarks
-    # path 0-1-2-3-4: from sources {0, 1} with radius 4:
-    # delta_0: 3-4 chain gives delta(1)=3, delta(2)=2, delta(3)=1
-    # delta_1: reaches 0,2,3,4; delta(2)=2, delta(3)=1 (0 is a leaf)
-    src = np.array([0, 1, 2, 3], np.int64)
-    dst = np.array([1, 2, 3, 4], np.int64)
-    t = pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-    out = betweenness_landmarks(rd.from_arrow(t), n_sources=2,
-                                radius=4).to_pandas()
-    got = dict(zip(out["node"], out["cb"]))
-    assert got[2] == 2.0 + 2.0
-    assert got[3] == 1.0 + 1.0
-    assert got[4] == 0.0
-    assert got[1] == 3.0  # from source 0 only
-
-
-# --- temporal reachability ---------------------------------------------------
-
-def _brute_temporal(edges, s):
-    import heapq
-    arr = {s: 0}
-    changed = True
-    while changed:
-        changed = False
-        for u, v, t in edges:
-            if u in arr and t >= arr[u] and t < arr.get(v, 2**62):
-                arr[v] = t
-                changed = True
-    return arr
-
-
-def test_temporal_reach_matches_brute_both_paths(ray_session):
-    from web_crawler_ray.stages.graph import temporal_reach
-    rng = np.random.default_rng(6)
-    n, m = 25, 100
-    src = rng.integers(0, n, m).astype(np.int64)
-    dst = rng.integers(0, n, m).astype(np.int64)
-    tt = rng.integers(0, 1000, m).astype(np.int64)
-    s = int(min(src.min(), dst.min()))
-    want = _brute_temporal(list(zip(src.tolist(), dst.tolist(),
-                                    tt.tolist())), s)
-    t = pa.table({"src": pa.array(src), "dst": pa.array(dst),
-                  "t": pa.array(tt)})
-    for dl in (10**6, 0):
-        out = temporal_reach(rd.from_arrow(t).repartition(3),
-                             driver_limit=dl,
-                             num_partitions=4).to_pandas()
-        got = dict(zip(out["node"], out["arrival_us"]))
-        assert got == want, dl
-
-
-def test_temporal_reach_respects_time(ray_session):
-    from web_crawler_ray.stages.graph import temporal_reach
-    # 1 -(t=10)-> 2 -(t=5)-> 3: edge into 3 is too EARLY, 3 unreachable;
-    # but 2 -(t=20)-> 4 works
-    t = pa.table({"src": pa.array([1, 2, 2], pa.int64()),
-                  "dst": pa.array([2, 3, 4], pa.int64()),
-                  "t": pa.array([10, 5, 20], pa.int64())})
-    out = temporal_reach(rd.from_arrow(t)).to_pandas()
-    got = dict(zip(out["node"], out["arrival_us"]))
-    assert got == {1: 0, 2: 10, 4: 20}
 
 
 # --- kNN distance outliers ---------------------------------------------------
@@ -1158,38 +977,6 @@ def test_benford_audit_matches_brute(ray_session):
     assert chi2 < 30.0
 
 
-# --- Katz centrality ---------------------------------------------------------
-
-def test_katz_matches_brute_both_paths(ray_session):
-    from web_crawler_ray.stages.graph import katz_centrality
-    rng = np.random.default_rng(7)
-    src = rng.integers(0, 20, 80).astype(np.int64)
-    dst = rng.integers(0, 20, 80).astype(np.int64)
-    nodes = np.unique(np.concatenate((src, dst)))
-    idx = {int(n): i for i, n in enumerate(nodes)}
-    A = np.zeros((len(nodes), len(nodes)), np.int64)
-    for a, b in zip(src, dst):
-        A[idx[a], idx[b]] += 1  # multigraph counts
-    w = np.ones(len(nodes), np.int64)
-    ws = []
-    for _ in range(4):
-        w = w @ A
-        ws.append(w.copy())
-    katz = np.zeros(len(nodes))
-    for k, wk in enumerate(ws, start=1):
-        katz = katz + wk.astype(np.float64) / float(2 ** k)
-    t = pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-    for dl in (10**6, 0):
-        out = katz_centrality(rd.from_arrow(t).repartition(3),
-                              driver_limit=dl,
-                              num_partitions=4).to_pandas() \
-            .sort_values("node").reset_index(drop=True)
-        assert out["node"].tolist() == nodes.tolist()
-        for k in range(1, 5):
-            assert out[f"w{k}"].tolist() == ws[k - 1].tolist(), dl
-        assert out["katz"].tolist() == katz.tolist(), dl
-
-
 # --- golden record -----------------------------------------------------------
 
 def test_golden_record_survivorship(ray_session):
@@ -1337,69 +1124,6 @@ def test_viterbi_matches_brute(ray_session):
         assert row["cost_0"] == c0 and row["cost_1"] == c1
         assert row["best_cost"] == min(c0, c1)
         assert row["best_state"] == (1 if c1 < c0 else 0)
-
-
-# --- MST ---------------------------------------------------------------------
-
-def _brute_kruskal(edges):
-    par = {}
-
-    def find(x):
-        while par.get(x, x) != x:
-            par[x] = par.get(par[x], par[x])
-            x = par[x]
-        return x
-
-    out = []
-    for w, lo, hi in sorted((w, lo, hi) for lo, hi, w in edges):
-        a, b = find(lo), find(hi)
-        if a != b:
-            par[a] = b
-            out.append((lo, hi, w))
-    return sorted(out)
-
-
-def test_mst_matches_kruskal_both_paths(ray_session):
-    from web_crawler_ray.stages.graph import mst_forest
-    rng = np.random.default_rng(15)
-    n, m = 40, 160
-    src = rng.integers(0, n, m).astype(np.int64)
-    dst = rng.integers(0, n, m).astype(np.int64)
-    w = rng.permutation(10_000)[:m].astype(np.int64)  # distinct
-    edges = {}
-    for a, b, ww in zip(src, dst, w):
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        if key not in edges or int(ww) < edges[key]:
-            edges[key] = int(ww)
-    # engine dedupes by min (w, lo, hi); rebuild its effective set
-    lst = [(lo, hi, ww) for (lo, hi), ww in edges.items()]
-    want = _brute_kruskal(lst)
-    t = pa.table({"src": pa.array(src), "dst": pa.array(dst),
-                  "w": pa.array(w)})
-    for dl in (10**6, 0):
-        out = mst_forest(rd.from_arrow(t).repartition(3),
-                         driver_limit=dl,
-                         num_partitions=4).to_pandas()
-        got = sorted(zip(out["lo"], out["hi"], out["w"]))
-        assert got == want, dl
-    # forest: |edges| = n_present - n_components
-    nodes = {x for e in lst for x in e[:2]}
-    comp = {}
-
-    def find(x):
-        while comp.get(x, x) != x:
-            x = comp[x]
-        return x
-
-    nc = 0
-    for lo, hi, _ in lst:
-        a, b = find(lo), find(hi)
-        if a != b:
-            comp[a] = b
-    roots = {find(x) for x in nodes}
-    assert len(want) == len(nodes) - len(roots)
 
 
 # --- WKT polygon area --------------------------------------------------------

@@ -34,7 +34,7 @@ def test_sitemap_parse():
     assert R.sitemap_candidates("https://a.example/x")[0] == "https://a.example/sitemap.xml"
 
 
-def test_bulk_csv_aliases():
+def test_bulk_csv_aliases(tmp_path):
     b = pa.table({"Company Name": ["Acme", "NoUrl"],
                   "Website": ["https://a.example ", None]})
     out = R.normalize_bulk_batch(b)
@@ -42,6 +42,13 @@ def test_bulk_csv_aliases():
     assert out.column("url").to_pylist() == ["https://a.example"]
     b2 = pa.table({"name": [None], "url": ["https://b.example"]})
     assert R.normalize_bulk_batch(b2).column("company_name").to_pylist() == ["Unknown"]
+    csv = tmp_path / "companies.csv"
+    csv.write_text("Company Name,Website\nAcme,https://a.example \n"
+                   "NoUrl,\n,https://b.example\n")
+    got = R.read_bulk_csv(str(csv)).to_pandas().sort_values("url")
+    assert got.to_dict("list") == {
+        "company_name": ["Acme", "Unknown"],
+        "url": ["https://a.example", "https://b.example"]}
 
 
 def test_pdf_extractor():

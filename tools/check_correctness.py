@@ -14,6 +14,13 @@ import pandas as pd
 import ray
 import ray.data
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+# Ray workers import the package (it has no install) through the
+# PYTHONPATH they inherit from this process, whatever its cwd
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+
 TABLES = ("region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings")
 
@@ -44,7 +51,6 @@ def main():
     import logging
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     logging.getLogger("ray").setLevel(logging.ERROR)
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as m
 
     con = duckdb.connect()

@@ -29,6 +29,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
+# Ray workers import the package (it has no install) through the
+# PYTHONPATH they inherit from this process, whatever its cwd
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
 
 
 def main():

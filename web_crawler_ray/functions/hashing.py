@@ -71,8 +71,3 @@ def hash64_column(col: pa.ChunkedArray | pa.Array) -> pa.Array:
                 b2(s.encode("utf-8", "surrogatepass"), digest_size=8).digest(), "big"
             )
     return pa.array(out, type=pa.uint64())
-
-
-def content_hash(text: str) -> int:
-    """64-bit content hash used by the content-hash dedup service."""
-    return hash64(text)

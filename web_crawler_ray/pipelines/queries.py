@@ -3352,65 +3352,6 @@ def _clustering_oracle_sql() -> str:
         "FROM dg LEFT JOIN tn USING(node) ORDER BY dg.node")
 
 
-_LP_E0 = ("SELECT l_orderkey % 8000 AS src, "
-          "(l_partkey*7 + l_suppkey) % 8000 AS dst FROM lineitem "
-          "WHERE l_linenumber = 1")
-
-
-def _lp_edges(sf_dir: str):
-    """Sparser one-line-per-order variant of the mixed-key lineitem
-    graph for the link-prediction query: wedge volume is Σ deg², so
-    the candidate generator gets the l_linenumber = 1 slice (the same
-    sparsity-cap precedent as _tri_edges)."""
-
-    def mk(t: pa.Table) -> pa.Table:
-        keep = t.column("l_linenumber").to_numpy(
-            zero_copy_only=False).astype(np.int64) == 1
-        ok = t.column("l_orderkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)[keep]
-        pk = t.column("l_partkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)[keep]
-        sk = t.column("l_suppkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)[keep]
-        return pa.table({"src": pa.array(ok % 8000),
-                         "dst": pa.array((pk * 7 + sk) % 8000)})
-
-    return _rp(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_partkey", "l_suppkey",
-                        "l_linenumber"]) \
-        .map_batches(mk, batch_format="pyarrow")
-
-
-def q_link_prediction(sf_dir: str):
-    """Common-neighbors link prediction with Jaccard scores — every
-    NON-adjacent pair sharing ≥2 neighbors in the sparse lineitem
-    graph (stages/graph.py link_prediction_cn: full-adjacency wedge
-    emit + ONE tagged-union pair-count/anti-mark exchange; counts and
-    degrees are integers, the score is ONE division — bit-exact).
-    Oracle: the canonical adjacency self-join + NOT EXISTS."""
-    from ..stages.graph import link_prediction_cn
-    return link_prediction_cn(_lp_edges(sf_dir), min_common=2)
-
-
-def _link_prediction_oracle_sql() -> str:
-    return (
-        f"WITH e0 AS ({_LP_E0}), "
-        "canon AS (SELECT DISTINCT least(src,dst) AS u, "
-        "greatest(src,dst) AS v FROM e0 WHERE src <> dst), "
-        "adj AS (SELECT u AS a, v AS b FROM canon "
-        "UNION ALL SELECT v, u FROM canon), "
-        "w AS (SELECT x.b AS u, y.b AS v, count(*) AS cn FROM adj x "
-        "JOIN adj y ON x.a = y.a AND x.b < y.b GROUP BY x.b, y.b), "
-        "dg AS (SELECT a AS node, count(*) AS d FROM adj GROUP BY a), "
-        "cand AS (SELECT u, v, cn FROM w WHERE cn >= 2 AND NOT EXISTS "
-        "(SELECT 1 FROM canon WHERE canon.u = w.u AND canon.v = w.v)) "
-        "SELECT c.u, c.v, c.cn::BIGINT AS n_common, "
-        "du.d::BIGINT AS deg_u, dv.d::BIGINT AS deg_v, "
-        "c.cn::DOUBLE / (du.d + dv.d - c.cn)::DOUBLE AS jaccard "
-        "FROM cand c JOIN dg du ON du.node = c.u "
-        "JOIN dg dv ON dv.node = c.v ORDER BY c.u, c.v")
-
-
 def q_ewma_users(sf_dir: str):
     """Per-row EWMA of each user's value stream (α = 1/8) — the
     smoothing/anomaly-baseline op (stages/windows.py ewma_per_user:
@@ -3858,47 +3799,6 @@ _KNN_SQL = (
     "FROM p ORDER BY vec_id")
 
 
-def q_label_propagation(sf_dir: str):
-    """Semi-supervised label propagation over the mixed-key lineitem
-    graph — seeds (node % 97 == 0) pinned to node % 5, three
-    synchronous majority rounds with deterministic (count desc, label
-    asc) tie-breaks (stages/graph.py label_propagation: dense bincount
-    rounds on the driver below 1M edges, owner-lookup + tagged-union
-    majority exchanges above; integer counts only — hash-exact).
-    Oracle: the rounds unrolled as CTEs (pagerank precedent)."""
-    from ..stages.graph import label_propagation
-    return label_propagation(_tri_edges(sf_dir), seed_mod=97,
-                             n_labels=5, n_rounds=3)
-
-
-def _label_prop_oracle_sql() -> str:
-    parts = [
-        f"WITH e0 AS ({_TRI_E0}), "
-        "canon AS (SELECT DISTINCT least(src,dst) AS u, "
-        "greatest(src,dst) AS v FROM e0 WHERE src <> dst), "
-        "sym AS (SELECT u, v FROM canon "
-        "UNION ALL SELECT v AS u, u AS v FROM canon), "
-        "nodes AS (SELECT DISTINCT u AS node FROM sym), "
-        "l0 AS (SELECT node, CASE WHEN node % 97 = 0 "
-        "THEN node % 5 ELSE -1 END AS lbl FROM nodes)"]
-    for r in range(1, 4):
-        p = r - 1
-        parts.append(
-            f", c{r} AS (SELECT s.v AS node, l.lbl, count(*) AS c "
-            f"FROM sym s JOIN l{p} l ON l.node = s.u "
-            f"WHERE l.lbl >= 0 GROUP BY s.v, l.lbl), "
-            f"w{r} AS (SELECT node, lbl FROM c{r} QUALIFY "
-            f"row_number() OVER (PARTITION BY node "
-            f"ORDER BY c DESC, lbl) = 1), "
-            f"l{r} AS (SELECT p.node, CASE WHEN p.node % 97 = 0 "
-            f"THEN p.lbl WHEN w.lbl IS NOT NULL THEN w.lbl "
-            f"ELSE p.lbl END AS lbl FROM l{p} p "
-            f"LEFT JOIN w{r} w ON w.node = p.node)")
-    parts.append(" SELECT node, lbl::BIGINT AS label FROM l3 "
-                 "ORDER BY node")
-    return "".join(parts)
-
-
 def q_autocorr_users(sf_dir: str):
     """Per-user lag-1 autocorrelation of event values — the
     stickiness statistic (stages/windows.py autocorr_lag1: integer
@@ -4230,54 +4130,6 @@ _ZORDER_SQL = (
     "ORDER BY zcode, o_orderkey, o_custkey LIMIT 500")
 
 
-def q_mis_nodes(sf_dir: str):
-    """Maximal independent set of the undirected mixed-key lineitem
-    graph — static-md5-priority parallel greedy (Luby with the coin
-    replaced by a fixed hash, so the result is the deterministic
-    priority-order-first MIS and the oracle can REPLAY the rounds as
-    unrolled CTEs; converges in 3/5 rounds at sf0.001/0.01, the SQL
-    unrolls 8 — extra rounds are no-ops once nothing is live).
-    stages/graph.py maximal_independent_set: numpy driver loop below
-    1M edges, four keyed exchanges per round above; both paths
-    parity-pinned in pytest."""
-    from ..stages.graph import maximal_independent_set
-    return maximal_independent_set(_tri_edges(sf_dir))
-
-
-def _mis_oracle_sql(rounds: int = 8) -> str:
-    # every CTE is MATERIALIZED: each round references the previous
-    # state 4x, so default inlining would expand the parquet scan
-    # 3^rounds times (observed: "Too many open files")
-    parts = [
-        f"WITH e0 AS MATERIALIZED ({_TRI_E0}), ",
-        "e AS MATERIALIZED (SELECT DISTINCT src, dst FROM "
-        "(SELECT src, dst FROM e0 UNION ALL SELECT dst, src FROM e0) "
-        "WHERE src <> dst), ",
-        "n0 AS MATERIALIZED (SELECT DISTINCT src AS node FROM e), ",
-        "p AS MATERIALIZED (SELECT node, "
-        "(md5_number_lower(node::VARCHAR) & "
-        "9223372036854775807::UBIGINT)::BIGINT AS prio FROM n0), ",
-        "s0 AS MATERIALIZED (SELECT node, 0 AS st FROM n0), ",
-    ]
-    for i in range(rounds):
-        a, b, c = f"s{i}", f"s{i + 1}", f"c{i + 1}"
-        parts.append(
-            f"{c} AS MATERIALIZED (SELECT s.node FROM {a} s "
-            "JOIN p ps ON ps.node = s.node WHERE s.st = 0 AND "
-            f"NOT EXISTS (SELECT 1 FROM e JOIN {a} t ON t.node = e.src "
-            "JOIN p q ON q.node = e.src WHERE e.dst = s.node "
-            "AND t.st = 0 AND q.prio <= ps.prio)), ")
-        parts.append(
-            f"{b} AS MATERIALIZED (SELECT s.node, CASE WHEN s.node IN "
-            f"(SELECT node FROM {c}) THEN 1 WHEN s.st = 0 AND EXISTS "
-            f"(SELECT 1 FROM e JOIN {c} cc ON cc.node = e.src "
-            "WHERE e.dst = s.node) THEN 2 ELSE s.st END AS st "
-            f"FROM {a} s), ")
-    body = "".join(parts)
-    return (body.rstrip(", ")
-            + f" SELECT node FROM s{rounds} WHERE st = 1 ORDER BY node")
-
-
 def q_closeness_sampled(sf_dir: str):
     """Landmark (sampled) closeness-centrality statistics from the 4
     smallest node ids of the undirected mixed-key lineitem graph —
@@ -4417,39 +4269,6 @@ _KMV_SET_SQL = (
     "AS est_union, cm.n_match::BIGINT AS n_match, "
     "(cm.n_match::DOUBLE * 9223372036854775808.0) / th.theta "
     "AS est_intersection FROM ka, kb, th, cm, uu")
-
-
-def q_dag_layers(sf_dir: str):
-    """Topological layers of the degree-oriented acyclification of the
-    mixed-key lineitem graph — longest in-path length per node, the
-    parallel-scheduling depth of a dependency DAG (stages/graph.py
-    dag_layers: numpy Kahn peel on the driver below 1M edges; above,
-    degree-attach + orient exchanges once, then two keyed exchanges
-    per peel round; both paths parity-pinned). Oracle: the alive-set
-    recurrence as a bounded recursive CTE — a node's max surviving
-    iteration IS its longest in-path (bound 48 >> depth 20 at
-    sf0.01)."""
-    from ..stages.graph import dag_layers
-    return dag_layers(_tri_edges(sf_dir))
-
-
-_DAG_LAYERS_SQL = (
-    f"WITH RECURSIVE e0 AS ({_TRI_E0}), "
-    "canon AS (SELECT DISTINCT least(src, dst) AS u, "
-    "greatest(src, dst) AS v FROM e0 WHERE src <> dst), "
-    "adj AS (SELECT u AS a, v AS b FROM canon "
-    "UNION ALL SELECT v, u FROM canon), "
-    "dg AS (SELECT a AS node, count(*) AS d FROM adj GROUP BY a), "
-    "ed AS (SELECT CASE WHEN du.d < dv.d OR (du.d = dv.d AND "
-    "c.u < c.v) THEN c.u ELSE c.v END AS src, "
-    "CASE WHEN du.d < dv.d OR (du.d = dv.d AND c.u < c.v) "
-    "THEN c.v ELSE c.u END AS dst FROM canon c "
-    "JOIN dg du ON du.node = c.u JOIN dg dv ON dv.node = c.v), "
-    "r AS (SELECT 0 AS it, node FROM dg "
-    "UNION SELECT a.it + 1, e.dst FROM ed e "
-    "JOIN r a ON a.node = e.src WHERE a.it < 48) "
-    "SELECT node, max(it)::BIGINT AS layer FROM r "
-    "GROUP BY node ORDER BY node")
 
 
 def q_stream_window_join(sf_dir: str):
@@ -4650,41 +4469,6 @@ _FREQ_CAP_SQL = (
     "ORDER BY ts, event_id) AS rk FROM events) "
     "SELECT event_id, rk::BIGINT AS rank, "
     "CASE WHEN rk > 3 THEN 1 ELSE 0 END::BIGINT AS capped FROM o")
-
-
-def q_ktruss_edges(sf_dir: str):
-    """3-truss of the undirected mixed-key lineitem graph — the edge
-    set where every edge closes ≥1 triangle within the surviving
-    subgraph, peeled to fixpoint (stages/graph.py k_truss: per-round
-    wedge-close with per-EDGE credit; numpy driver loop below 1M
-    edges, six keyed exchanges per round above; both paths
-    parity-pinned; converges in 2 rounds here, oracle unrolls 4 as
-    MATERIALIZED CTEs — the mis_nodes inlining landmine)."""
-    from ..stages.graph import k_truss
-    return k_truss(_tri_edges(sf_dir), k=3)
-
-
-def _ktruss_oracle_sql(k: int = 3, rounds: int = 4) -> str:
-    thr = k - 2
-    parts = [
-        f"WITH e0 AS MATERIALIZED ({_TRI_E0}), ",
-        "a0 AS MATERIALIZED (SELECT DISTINCT least(src, dst) AS u, "
-        "greatest(src, dst) AS v FROM e0 WHERE src <> dst), ",
-    ]
-    for i in range(rounds):
-        a, b = f"a{i}", f"a{i + 1}"
-        parts.append(
-            f"adj{i} AS MATERIALIZED (SELECT u AS a, v AS b FROM {a} "
-            f"UNION ALL SELECT v, u FROM {a}), ")
-        parts.append(
-            f"{b} AS MATERIALIZED (SELECT e.u, e.v FROM {a} e "
-            f"JOIN adj{i} x ON x.a = e.u "
-            f"JOIN adj{i} y ON y.a = e.v AND y.b = x.b "
-            f"GROUP BY e.u, e.v HAVING count(*) >= {thr}), ")
-    body = "".join(parts)
-    return (body.rstrip(", ")
-            + f" SELECT u AS src, v AS dst FROM a{rounds} "
-            "ORDER BY src, dst")
 
 
 def q_next_event_accuracy(sf_dir: str):
@@ -5107,44 +4891,6 @@ _CDC_SQL = (
     "WHERE rn = 1 AND op <> 'D' ORDER BY key")
 
 
-def q_scc_components(sf_dir: str):
-    """Strongly connected components of the directed mod-2000
-    lineitem graph — the bow-tie web-graph primitive next to
-    connected_components (stages/graph.py scc_components: iterative
-    Kosaraju on the driver below 1M edges; FORWARD-BACKWARD coloring
-    with receiver-side color checks on keyed raw-task exchanges
-    above, both parity-pinned in pytest). component = MIN member id,
-    exact."""
-    from ..stages.graph import scc_components
-    ds = _rp(sf_dir, "lineitem",
-             columns=["l_orderkey", "l_partkey", "l_suppkey"])
-
-    def to_e(t: pa.Table) -> pa.Table:
-        ok = t.column("l_orderkey").to_numpy(zero_copy_only=False)
-        pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
-        sk = t.column("l_suppkey").to_numpy(zero_copy_only=False)
-        return pa.table({"src": pa.array((ok % 2000).astype(np.int64)),
-                         "dst": pa.array(((pk * 13 + sk) % 2000)
-                                         .astype(np.int64))})
-
-    return scc_components(ds.map_batches(to_e, batch_format="pyarrow"))
-
-
-_SCC_SQL = (
-    "WITH RECURSIVE e AS (SELECT DISTINCT src, dst FROM "
-    "(SELECT l_orderkey % 2000 AS src, "
-    "(l_partkey * 13 + l_suppkey) % 2000 AS dst FROM lineitem)), "
-    "r AS (SELECT src AS u, dst AS v FROM e "
-    "UNION SELECT r.u, e.dst FROM r JOIN e ON e.src = r.v), "
-    "nodes AS (SELECT src AS node FROM e "
-    "UNION SELECT dst FROM e), "
-    "m AS (SELECT r1.u, r1.v FROM r r1 "
-    "JOIN r r2 ON r2.u = r1.v AND r2.v = r1.u) "
-    "SELECT n.node, least(n.node, coalesce(min(m.v), n.node)) "
-    "AS component FROM nodes n LEFT JOIN m ON m.u = n.node "
-    "GROUP BY n.node ORDER BY n.node")
-
-
 def q_sax_users(sf_dir: str):
     """SAX symbolic series per user: 8-row PAA segments quantized
     into 5 letters against fixed cent breakpoints (stages/windows.py
@@ -5400,107 +5146,6 @@ _TREESCORE_SQL = (
     "(CASE WHEN cents < 8000 THEN 30 ELSE 40 END) "
     "ELSE 50 END) END::BIGINT AS score "
     "FROM f ORDER BY event_id")
-
-
-def q_betweenness_landmarks(sf_dir: str):
-    """Radius-4 Brandes betweenness from the 2 smallest landmarks
-    over the sparse lineitem graph — the bounded-distance betweenness
-    estimator (stages/graph.py betweenness_landmarks: exact integer
-    sigma sums; every float fold ordered — successors ascending, then
-    landmarks ascending — so driver, distributed and oracle agree
-    bit-for-bit)."""
-    from ..stages.graph import betweenness_landmarks
-    return betweenness_landmarks(_tri_edges(sf_dir), n_sources=2,
-                                 radius=4)
-
-
-def _betweenness_oracle_sql(radius: int = 4) -> str:
-    p = [
-        f"WITH e0 AS ({_TRI_E0}), "
-        "canon AS (SELECT DISTINCT least(src, dst) AS u, "
-        "greatest(src, dst) AS v FROM e0 WHERE src <> dst), "
-        "sym AS MATERIALIZED (SELECT u, v FROM canon "
-        "UNION ALL SELECT v AS u, u AS v FROM canon), "
-        "smin AS (SELECT DISTINCT u FROM sym ORDER BY u LIMIT 2)"]
-    for si in range(2):
-        s = (f"(SELECT {'min' if si == 0 else 'max'}(u) FROM smin)")
-        p.append(
-            f", lev0_{si} AS MATERIALIZED (SELECT {s} AS node, "
-            f"1::HUGEINT AS sig)")
-        p.append(f", seen0_{si} AS MATERIALIZED "
-                 f"(SELECT node FROM lev0_{si})")
-        for r in range(1, radius + 1):
-            p.append(
-                f", lev{r}_{si} AS MATERIALIZED (SELECT e.v AS node, "
-                f"sum(l.sig) AS sig FROM lev{r - 1}_{si} l "
-                f"JOIN sym e ON e.u = l.node WHERE e.v NOT IN "
-                f"(SELECT node FROM seen{r - 1}_{si}) GROUP BY e.v)")
-            p.append(
-                f", seen{r}_{si} AS MATERIALIZED (SELECT node FROM "
-                f"seen{r - 1}_{si} UNION ALL SELECT node "
-                f"FROM lev{r}_{si})")
-        p.append(
-            f", del{radius}_{si} AS MATERIALIZED (SELECT node, sig, "
-            f"0.0::DOUBLE AS delta FROM lev{radius}_{si})")
-        for r in range(radius - 1, -1, -1):
-            p.append(
-                f", del{r}_{si} AS MATERIALIZED (SELECT l.node, "
-                f"l.sig, COALESCE(f.d, 0.0) AS delta FROM "
-                f"lev{r}_{si} l LEFT JOIN (SELECT e.u AS node, "
-                f"list_sum(list((lc.sig::DOUBLE / d.sig::DOUBLE) "
-                f"* (1.0 + d.delta) ORDER BY d.node)) AS d "
-                f"FROM sym e JOIN del{r + 1}_{si} d ON d.node = e.v "
-                f"JOIN lev{r}_{si} lc ON lc.node = e.u "
-                f"GROUP BY e.u) f ON f.node = l.node)")
-        dels = " UNION ALL ".join(
-            f"SELECT node, delta FROM del{r}_{si}"
-            for r in range(radius + 1))
-        p.append(f", cb_{si} AS MATERIALIZED (SELECT node, delta "
-                 f"FROM ({dels}) WHERE node <> {s})")
-    p.append(
-        " SELECT COALESCE(a.node, b.node) AS node, "
-        "COALESCE(a.delta, 0.0) + COALESCE(b.delta, 0.0) AS cb "
-        "FROM cb_0 a FULL OUTER JOIN cb_1 b ON b.node = a.node "
-        "ORDER BY node")
-    return "".join(p)
-
-
-def q_temporal_reach(sf_dir: str):
-    """Earliest-arrival temporal reachability over the order graph
-    (edge (custkey%500 → orderkey%500) live at its order date): a
-    journey may only continue on edges no earlier than its arrival —
-    the time-respecting-path primitive (stages/graph.py
-    temporal_reach: all-integer min relaxation; driver grouped-min
-    Bellman below 1M edges, tagged sssp-shape exchanges above)."""
-    from ..stages.graph import temporal_reach
-    ds = _rp(sf_dir, "orders",
-             columns=["o_custkey", "o_orderkey", "o_orderdate"])
-
-    def to_e(t: pa.Table) -> pa.Table:
-        ck = t.column("o_custkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        ok = t.column("o_orderkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        ts = t.column("o_orderdate").to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        return pa.table({"src": pa.array(ck % 500),
-                         "dst": pa.array(ok % 500),
-                         "t": pa.array(ts)})
-
-    return temporal_reach(ds.map_batches(to_e,
-                                         batch_format="pyarrow"))
-
-
-_TEMPORAL_SQL = (
-    "WITH RECURSIVE e AS (SELECT o_custkey % 500 AS u, "
-    "o_orderkey % 500 AS v, epoch_us(o_orderdate) AS t "
-    "FROM orders), "
-    "s AS (SELECT least(min(u), min(v)) AS s FROM e), "
-    "reach AS (SELECT s.s AS node, 0::BIGINT AS arr FROM s "
-    "UNION SELECT e.v, e.t FROM reach r "
-    "JOIN e ON e.u = r.node AND e.t >= r.arr) "
-    "SELECT node, min(arr)::BIGINT AS arrival_us FROM reach "
-    "GROUP BY node ORDER BY node")
 
 
 def q_knn_dist_outliers(sf_dir: str):
@@ -5867,48 +5512,6 @@ _BENFORD_SQL = (
     "x.chi2 FROM j, t, x ORDER BY digit")
 
 
-def q_katz_centrality(sf_dir: str):
-    """Truncated Katz centrality (beta = 1/2, 4 steps) over the
-    directed lineitem multigraph — exact integer walk counts + dyadic
-    attenuation (stages/graph.py katz_centrality: pagerank-shaped
-    integer message sums, driver CSR below 1M edges; ascending-k
-    dyadic fold — bit-exact)."""
-    from ..stages.graph import katz_centrality
-    return katz_centrality(_tri_edges(sf_dir), n_steps=4)
-
-
-_KATZ_SQL = (
-    f"WITH e0 AS ({_TRI_E0}), "
-    "nodes AS (SELECT src AS node FROM e0 "
-    "UNION SELECT dst FROM e0), "
-    "w1 AS MATERIALIZED (SELECT n.node, "
-    "COALESCE(c.c, 0)::HUGEINT AS w FROM nodes n LEFT JOIN "
-    "(SELECT dst, count(*)::HUGEINT AS c FROM e0 GROUP BY dst) c "
-    "ON c.dst = n.node), "
-    "w2 AS MATERIALIZED (SELECT n.node, "
-    "COALESCE(s.c, 0)::HUGEINT AS w FROM nodes n LEFT JOIN "
-    "(SELECT e0.dst, sum(w1.w) AS c FROM e0 "
-    "JOIN w1 ON w1.node = e0.src GROUP BY e0.dst) s "
-    "ON s.dst = n.node), "
-    "w3 AS MATERIALIZED (SELECT n.node, "
-    "COALESCE(s.c, 0)::HUGEINT AS w FROM nodes n LEFT JOIN "
-    "(SELECT e0.dst, sum(w2.w) AS c FROM e0 "
-    "JOIN w2 ON w2.node = e0.src GROUP BY e0.dst) s "
-    "ON s.dst = n.node), "
-    "w4 AS MATERIALIZED (SELECT n.node, "
-    "COALESCE(s.c, 0)::HUGEINT AS w FROM nodes n LEFT JOIN "
-    "(SELECT e0.dst, sum(w3.w) AS c FROM e0 "
-    "JOIN w3 ON w3.node = e0.src GROUP BY e0.dst) s "
-    "ON s.dst = n.node) "
-    "SELECT w1.node, w1.w::BIGINT AS w1, w2.w::BIGINT AS w2, "
-    "w3.w::BIGINT AS w3, w4.w::BIGINT AS w4, "
-    "w1.w::DOUBLE / 2 + w2.w::DOUBLE / 4 + w3.w::DOUBLE / 8 "
-    "+ w4.w::DOUBLE / 16 AS katz "
-    "FROM w1 JOIN w2 ON w2.node = w1.node "
-    "JOIN w3 ON w3.node = w1.node JOIN w4 ON w4.node = w1.node "
-    "ORDER BY w1.node")
-
-
 def q_golden_record(sf_dir: str):
     """MDM survivorship over a multi-source feed derived from events
     (source priority purchase > signup > click > view > error;
@@ -6074,70 +5677,6 @@ _VITERBI_SQL = (
     "(CASE WHEN c1 < c0 THEN 1 ELSE 0 END)::BIGINT AS best_state, "
     "least(c0, c1)::BIGINT AS best_cost FROM st WHERE rn = n "
     "ORDER BY key")
-
-
-_MST_CHORD = (
-    "SELECT (o_orderkey % 200) * 8 + ((o_orderkey // 200) "
-    "% (3 + (o_orderkey % 200) % 5)) AS u, "
-    "(o_orderkey % 200) * 8 + (((o_orderkey // 200) "
-    "% (3 + (o_orderkey % 200) % 5)) + 2) "
-    "% (3 + (o_orderkey % 200) % 5) AS v FROM orders "
-    "WHERE o_orderkey % 3 = 0")
-
-
-def q_mst_forest(sf_dir: str):
-    """Minimum spanning forest of the 200-cycle + chords order graph
-    under distinct md5 edge weights — Kruskal on the driver, Borůvka
-    exchanges above driver_limit, both under the same (w, lo, hi)
-    total order (stages/graph.py mst_forest; driver ≡ distributed
-    parity pinned in pytest). Oracle: the CYCLE PROPERTY — an edge is
-    in the forest iff its endpoints are NOT connected by strictly
-    lighter edges."""
-    import hashlib
-
-    from ..stages.graph import mst_forest
-    ds = _rp(sf_dir, "orders", columns=["o_orderkey"])
-
-    def to_e(t: pa.Table) -> pa.Table:
-        o = t.column("o_orderkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        g = o % 200
-        L = 3 + g % 5
-        i = (o // 200) % L
-        u1, v1 = g * 8 + i, g * 8 + (i + 1) % L
-        ch = o % 3 == 0
-        u2, v2 = (g * 8 + i)[ch], (g * 8 + (i + 2) % L)[ch]
-        u = np.concatenate((u1, u2))
-        v = np.concatenate((v1, v2))
-        keep = u != v
-        u, v = u[keep], v[keep]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        w = np.array([int.from_bytes(hashlib.md5(
-            f"{a}:{b}".encode()).digest()[8:], "little")
-            & ((1 << 63) - 1) for a, b in zip(lo, hi)], np.int64)
-        return pa.table({"src": pa.array(lo), "dst": pa.array(hi),
-                         "w": pa.array(w)})
-
-    return mst_forest(ds.map_batches(to_e, batch_format="pyarrow"))
-
-
-_MST_SQL = (
-    f"WITH RECURSIVE e0 AS (SELECT least(u, v) AS lo, "
-    f"greatest(u, v) AS hi FROM ({_BIP_E0} UNION ALL {_MST_CHORD}) "
-    "WHERE u <> v), "
-    "ed AS (SELECT DISTINCT lo, hi FROM e0), "
-    "ew AS MATERIALIZED (SELECT row_number() OVER "
-    "(ORDER BY lo, hi) AS eid, lo, hi, "
-    "(md5_number_lower(lo::VARCHAR || ':' || hi::VARCHAR) "
-    "& 9223372036854775807)::BIGINT AS w FROM ed), "
-    "symw AS (SELECT lo AS a, hi AS b, w FROM ew "
-    "UNION ALL SELECT hi AS a, lo AS b, w FROM ew), "
-    "r AS (SELECT ew.eid, ew.lo AS node, ew.w AS lim FROM ew "
-    "UNION SELECT r.eid, s.b, r.lim FROM r "
-    "JOIN symw s ON s.a = r.node AND s.w < r.lim) "
-    "SELECT lo, hi, w FROM ew WHERE NOT EXISTS "
-    "(SELECT 1 FROM r WHERE r.eid = ew.eid AND r.node = ew.hi) "
-    "ORDER BY lo, hi")
 
 
 def q_wkt_polygon_area(sf_dir: str):
@@ -6594,7 +6133,6 @@ def registry() -> dict:
         "twap_users": q_twap_users,
         "target_encode_brand": q_target_encode_brand,
         "clustering_coeff": q_clustering_coeff,
-        "link_prediction": q_link_prediction,
         "ewma_users": q_ewma_users,
         "percentile_cont_events": q_percentile_cont_events,
         "regex_extract_docs": q_regex_extract_docs,
@@ -6610,7 +6148,6 @@ def registry() -> dict:
         "hourly_profile": q_hourly_profile,
         "daily_pct_change": q_daily_pct_change,
         "knn_accuracy": q_knn_accuracy,
-        "label_propagation": q_label_propagation,
         "autocorr_users": q_autocorr_users,
         "snapshot_diff": q_snapshot_diff,
         "degree_assortativity": q_degree_assortativity,
@@ -6622,12 +6159,10 @@ def registry() -> dict:
         "late_data_stats": q_late_data_stats,
         "sequence_match": q_sequence_match,
         "zorder_orders": q_zorder_orders,
-        "mis_nodes": q_mis_nodes,
         "closeness_sampled": q_closeness_sampled,
         "rake_keywords": q_rake_keywords,
         "apriori_triples": q_apriori_triples,
         "kmv_set_ops": q_kmv_set_ops,
-        "dag_layers": q_dag_layers,
         "stream_window_join": q_stream_window_join,
         "window_dedup": q_window_dedup,
         "holt_users": q_holt_users,
@@ -6635,7 +6170,6 @@ def registry() -> dict:
         "share_of_total": q_share_of_total,
         "isotonic_hourly": q_isotonic_hourly,
         "freq_cap": q_freq_cap,
-        "ktruss_edges": q_ktruss_edges,
         "next_event_accuracy": q_next_event_accuracy,
         "item_item_cosine": q_item_item_cosine,
         "snm_pairs": q_snm_pairs,
@@ -6649,7 +6183,6 @@ def registry() -> dict:
         "random_projection": q_random_projection,
         "bollinger_users": q_bollinger_users,
         "cdc_snapshot": q_cdc_snapshot,
-        "scc_components": q_scc_components,
         "sax_users": q_sax_users,
         "kcenter_coreset": q_kcenter_coreset,
         "seasonal_events": q_seasonal_events,
@@ -6657,8 +6190,6 @@ def registry() -> dict:
         "bipartite_orders": q_bipartite_orders,
         "gram_matrix": q_gram_matrix,
         "tree_score_events": q_tree_score_events,
-        "betweenness_landmarks": q_betweenness_landmarks,
-        "temporal_reach": q_temporal_reach,
         "knn_dist_outliers": q_knn_dist_outliers,
         "consistent_hash": q_consistent_hash,
         "lof_outliers": q_lof_outliers,
@@ -6671,12 +6202,10 @@ def registry() -> dict:
         "audio_fingerprint": q_audio_fingerprint,
         "bitmap_index": q_bitmap_index,
         "benford_orders": q_benford_orders,
-        "katz_centrality": q_katz_centrality,
         "golden_record": q_golden_record,
         "shapley_channels": q_shapley_channels,
         "ransac_orders": q_ransac_orders,
         "viterbi_users": q_viterbi_users,
-        "mst_forest": q_mst_forest,
         "wkt_polygon_area": q_wkt_polygon_area,
         "point_in_polygon": q_point_in_polygon,
         "bandit_replay": q_bandit_replay,
@@ -7587,7 +7116,6 @@ ORACLES: dict[str, str] = {
     "twap_users": _TWAP_SQL,
     "target_encode_brand": _TARGET_ENC_SQL,
     "clustering_coeff": _clustering_oracle_sql(),
-    "link_prediction": _link_prediction_oracle_sql(),
     "ewma_users": _EWMA_SQL,
     "percentile_cont_events": _percentile_cont_oracle_sql(),
     "regex_extract_docs": _REGEX_EXTRACT_SQL,
@@ -7603,7 +7131,6 @@ ORACLES: dict[str, str] = {
     "hourly_profile": _HOURLY_SQL,
     "daily_pct_change": _DAILY_PCT_SQL,
     "knn_accuracy": _KNN_SQL,
-    "label_propagation": _label_prop_oracle_sql(),
     "autocorr_users": _AUTOCORR_SQL,
     "snapshot_diff": _SNAPSHOT_DIFF_SQL,
     "degree_assortativity": _ASSORT_SQL,
@@ -7645,12 +7172,10 @@ ORACLES: dict[str, str] = {
     "late_data_stats": _LATE_SQL,
     "sequence_match": _SEQ_MATCH_SQL,
     "zorder_orders": _ZORDER_SQL,
-    "mis_nodes": _mis_oracle_sql(),
     "closeness_sampled": _CLOSENESS_SQL,
     "rake_keywords": _RAKE_SQL,
     "apriori_triples": _APRIORI_SQL,
     "kmv_set_ops": _KMV_SET_SQL,
-    "dag_layers": _DAG_LAYERS_SQL,
     "stream_window_join": _STREAM_JOIN_SQL,
     "window_dedup": _WINDOW_DEDUP_SQL,
     "holt_users": _HOLT_SQL,
@@ -7658,7 +7183,6 @@ ORACLES: dict[str, str] = {
     "share_of_total": _SHARE_SQL,
     "isotonic_hourly": _ISOTONIC_SQL,
     "freq_cap": _FREQ_CAP_SQL,
-    "ktruss_edges": _ktruss_oracle_sql(),
     "next_event_accuracy": _NEXT_ACC_SQL,
     "item_item_cosine": _ITEM_COS_SQL,
     "snm_pairs": _SNM_SQL,
@@ -7671,7 +7195,6 @@ ORACLES: dict[str, str] = {
     "random_projection": _RANDPROJ_SQL,
     "bollinger_users": _BOLL_SQL,
     "cdc_snapshot": _CDC_SQL,
-    "scc_components": _SCC_SQL,
     "sax_users": _SAX_SQL,
     "kcenter_coreset": _kcenter_oracle_sql(8),
     "seasonal_events": _SEASONAL_SQL,
@@ -7679,8 +7202,6 @@ ORACLES: dict[str, str] = {
     "bipartite_orders": _BIPARTITE_SQL,
     "gram_matrix": _GRAM_SQL,
     "tree_score_events": _TREESCORE_SQL,
-    "betweenness_landmarks": _betweenness_oracle_sql(4),
-    "temporal_reach": _TEMPORAL_SQL,
     "knn_dist_outliers": _KNN_DIST_SQL,
     "consistent_hash": _CONSHASH_SQL,
     "lof_outliers": _LOF_SQL,
@@ -7691,12 +7212,10 @@ ORACLES: dict[str, str] = {
     "diameter_sweep": _DIAM_SQL,
     "bitmap_index": _BITMAP_SQL,
     "benford_orders": _BENFORD_SQL,
-    "katz_centrality": _KATZ_SQL,
     "golden_record": _GOLDEN_SQL,
     "shapley_channels": _SHAPLEY_SQL,
     "ransac_orders": _RANSAC_SQL,
     "viterbi_users": _VITERBI_SQL,
-    "mst_forest": _MST_SQL,
     "wkt_polygon_area": _WKT_SQL,
     "point_in_polygon": _PIP_SQL,
     "bandit_replay": _bandit_oracle_sql(),

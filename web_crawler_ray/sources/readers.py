@@ -127,15 +127,3 @@ def bulk_summary(results: rd.Dataset) -> dict:
         "failed": int(by.get("failed", {}).get("n", 0)),
         "totalLocations": int(df["locations"].sum()),
     }
-
-
-# --- sinks -------------------------------------------------------------------
-
-def write_locations_parquet(ds: rd.Dataset, out_dir: str) -> None:
-    """S10: partitioned parquet sink (resumable layout: many part files)."""
-    ds.write_parquet(out_dir)
-
-
-def write_locations_csv(ds: rd.Dataset, out_dir: str) -> None:
-    """S13: CSV export of the final location records."""
-    ds.write_csv(out_dir)

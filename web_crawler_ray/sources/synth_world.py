@@ -545,11 +545,3 @@ def world_parallel(seed: int = 42, n_hosts: int = 64, pages_per_host_base: int =
     tbl = pa.concat_tables(tables).combine_chunks().sort_by("url_hash")
     seeds = [f"https://{h}/" for h in sorted({p.host for p in plans})]
     return tbl, robots, seeds
-
-
-def world_for_sf(sf: float, seed: int = 42):
-    """Scale knob used by queries()/bench: sf0.001→~8 hosts/240 pages-ish."""
-    n_hosts = max(4, int(40 * sf * 100))          # 0.001→4, 0.01→40... cap below
-    n_hosts = min(n_hosts, 64)
-    base = max(20, int(3000 * sf))
-    return world(seed=seed, n_hosts=n_hosts, pages_per_host_base=base)

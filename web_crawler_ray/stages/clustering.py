@@ -26,6 +26,7 @@ import pyarrow as pa
 import ray
 
 from ..functions.hashing import hash64_many
+from .shuffles import arrow_refs
 
 
 def _stack(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -273,7 +274,7 @@ def kcenter_coreset(ds, k: int = 8, id_col: str = "vec_id",
 
     # c0: min id across blocks
     picks = [p for p in ray.get([_pick_min_id.remote(r)
-                                 for r in state.to_arrow_refs()])
+                                 for r in arrow_refs(state)])
              if p is not None]
     if not picks:
         return pa.table({"order_idx": pa.array([], pa.int64()),
@@ -303,7 +304,7 @@ def kcenter_coreset(ds, k: int = 8, id_col: str = "vec_id",
         state = state.map_batches(upd, batch_format="pyarrow") \
                      .materialize()
         far = [p for p in ray.get([_pick_far.remote(r)
-                                   for r in state.to_arrow_refs()])
+                                   for r in arrow_refs(state)])
                if p is not None]
         d_best, c_id, c_q = max(
             far, key=lambda p: (p[0], -p[1]))

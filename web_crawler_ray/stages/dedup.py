@@ -997,29 +997,11 @@ def _emit_pair_shingles(batch: pa.Table, ref, k: int, id_col: str,
                      "shingles": pa.array(o_sh, pa.list_(pa.uint64()))})
 
 
-def _pair_jaccard_group(g: pd.DataFrame) -> pd.DataFrame:
-    if len(g) < 2:  # candidate id missing from the corpus — unverifiable
-        return pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
-                             "id_b": pd.Series([], dtype=np.int64),
-                             "jaccard": pd.Series([], dtype=np.float64)})
-    g = g.sort_values("member_id")
-    a = np.asarray(g["shingles"].iloc[0], dtype=np.uint64)
-    b = np.asarray(g["shingles"].iloc[1], dtype=np.uint64)
-    if a.size == 0 and b.size == 0:
-        j = 1.0  # mirrors jaccard()'s both-empty case
-    else:
-        inter = np.intersect1d(a, b, assume_unique=True).size
-        j = inter / max(1, a.size + b.size - inter)
-    return pd.DataFrame({"id_a": [int(g["member_id"].iloc[0])],
-                         "id_b": [int(g["member_id"].iloc[1])],
-                         "jaccard": [j]})
-
-
 def _pair_jaccard_bucket(g: pd.DataFrame) -> pd.DataFrame:
     """Exact Jaccard for one hash bucket of pair ids: walk the sorted
     (pair_id, member_id) segments and intersect each pair's shingle
-    arrays — per-pair numpy, no per-pair pandas group machinery. Values
-    identical to _pair_jaccard_group (the scalar spec)."""
+    arrays — per-pair numpy, no per-pair pandas group machinery. A pair
+    with a member missing from the corpus is unverifiable and dropped."""
     empty = pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
                           "id_b": pd.Series([], dtype=np.int64),
                           "jaccard": pd.Series([], dtype=np.float64)})

@@ -320,29 +320,6 @@ def add_quality(batch: pa.Table) -> pa.Table:
                              pa.array(levels.astype(object), pa.string()))
 
 
-def quality_report(ds) -> dict:
-    """A1 (data-quality:114-136) as Ray aggregates (single small result)."""
-    from ray.data.aggregate import Count, Mean
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        s = batch.column("quality_score")
-        lv = [quality_level(int(x)) for x in s.to_pylist()]
-        return batch.append_column("bucket", pa.array(lv, pa.string()))
-
-    agg = (ds.map_batches(bucket, batch_format="pyarrow")
-             .groupby("bucket").aggregate(Count(alias_name="n")).to_pandas())
-    mean = ds.aggregate(Mean("quality_score", alias_name="avg"))["avg"]
-    counts = dict(zip(agg["bucket"], agg["n"]))
-    return {
-        "totalLocations": int(agg["n"].sum()),
-        "excellent": int(counts.get("Excellent", 0)),
-        "good": int(counts.get("Good", 0)),
-        "fair": int(counts.get("Fair", 0)),
-        "poor": int(counts.get("Poor", 0)),
-        "averageScore": float(mean),
-    }
-
-
 # --- P5 validity filter (address-normalizer.service.js:340-363) --------------
 
 def is_valid_location(r: dict) -> bool:

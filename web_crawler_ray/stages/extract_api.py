@@ -9,8 +9,6 @@ location rows via the reference's alias tables + GeoJSON handling +
 
 from __future__ import annotations
 
-import json
-
 NEST_KEYS = ("locations", "stores", "offices", "branches",
              "data", "results", "items", "features")
 
@@ -157,10 +155,3 @@ def parse_json_locations(data, source_url: str) -> list[dict]:
             locations = [normalize_geojson_feature(f, source_url)
                          for f in data["features"]]
     return [l for l in locations if l is not None]
-
-
-def parse_json_text(text: str, source_url: str) -> list[dict]:
-    try:
-        return parse_json_locations(json.loads(text), source_url)
-    except (json.JSONDecodeError, TypeError):
-        return []

@@ -25,6 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from .shuffles import arrow_refs
+
 DRIVER_CC_MAX = 1_000_000  # edge count below which the graph ops run
 # their driver-side numpy kernel: O(E) (or O(E alpha(N))) on one core
 # beats 2-3 keyed shuffles per ROUND (measured at 514k edges: driver
@@ -246,7 +248,7 @@ def connected_components(edges_ds, src: str = "src", dst: str = "dst",
         # Convergence scalar: per-block remote sums — the label vector
         # itself never reaches the driver.
         s = sum(ray.get([_label_sum.remote(r)
-                         for r in labels.to_arrow_refs()]))
+                         for r in arrow_refs(labels)]))
         if prev_sum is not None and s == prev_sum:
             break
         prev_sum = s
@@ -373,7 +375,7 @@ def pagerank(edges_ds, src: str = "src", dst: str = "dst",
         sarr = np.unique(np.asarray(list(seeds), np.int64))
         seed_ref = ray.put(sarr)
         ns = sum(ray.get([_isin_count.remote(r_, seed_ref)
-                          for r_ in nodes.to_arrow_refs()]))
+                          for r_ in arrow_refs(nodes)]))
         if not ns:
             raise ValueError("pagerank: no seed is a graph node")
 
@@ -690,7 +692,7 @@ def hits(edges_ds, src: str = "src", dst: str = "dst",
         summed = _ipm(msgs.union(zero), "node", sum_kernel,
                       num_partitions=num_partitions)
         total = sum(ray.get([_float_sum.remote(r_, "val")
-                             for r_ in summed.to_arrow_refs()]))
+                             for r_ in arrow_refs(summed)]))
 
         def norm(t: pa.Table) -> pa.Table:
             vv = t.column("val").to_numpy(zero_copy_only=False)
@@ -1105,7 +1107,7 @@ def bfs_hops(edges_ds, source: int | None = None,
             return min(int(pc.min(t.column("src")).as_py()),
                        int(pc.min(t.column("dst")).as_py()))
 
-        source = min(ray.get([_min2.remote(r) for r in e.to_arrow_refs()]))
+        source = min(ray.get([_min2.remote(r) for r in arrow_refs(e)]))
     labels = rd.from_arrow(pa.table(
         {"node": pa.array([int(source)], pa.int64()),
          "label": pa.array([0], pa.int64())})).materialize()
@@ -1156,7 +1158,7 @@ def bfs_hops(edges_ds, source: int | None = None,
                     num_partitions=num_partitions)
         labels = _ipm(msgs.union(labels), "node", _min_per_node,
                       num_partitions=num_partitions).materialize()
-        cs = ray.get([_cnt_sum.remote(r) for r in labels.to_arrow_refs()])
+        cs = ray.get([_cnt_sum.remote(r) for r in arrow_refs(labels)])
         s = (sum(c for c, _ in cs), sum(v for _, v in cs))
         if prev is not None and s == prev:
             break
@@ -1261,7 +1263,7 @@ def sssp_weighted(edges_ds, source: int | None = None,
             return min(int(pc.min(t.column("src")).as_py()),
                        int(pc.min(t.column("dst")).as_py()))
 
-        source = min(ray.get([_min2.remote(r) for r in e.to_arrow_refs()]))
+        source = min(ray.get([_min2.remote(r) for r in arrow_refs(e)]))
     labels = rd.from_arrow(pa.table(
         {"node": pa.array([int(source)], pa.int64()),
          "label": pa.array([0], pa.int64())})).materialize()
@@ -1311,7 +1313,7 @@ def sssp_weighted(edges_ds, source: int | None = None,
                     num_partitions=num_partitions)
         labels = _ipm(msgs.union(labels), "node", _min_per_node,
                       num_partitions=num_partitions).materialize()
-        cs = ray.get([_cnt_sum.remote(r) for r in labels.to_arrow_refs()])
+        cs = ray.get([_cnt_sum.remote(r) for r in arrow_refs(labels)])
         s = (sum(c for c, _ in cs), sum(v for _, v in cs))
         if prev is not None and s == prev:
             break
@@ -1753,407 +1755,6 @@ def clustering_coefficients(edges_ds, src: str = "src", dst: str = "dst",
                      "coeff": pa.array(coeff, pa.float64())})
 
 
-def link_prediction_cn(edges_ds, min_common: int = 2,
-                       src: str = "src", dst: str = "dst",
-                       driver_limit: int = DRIVER_CC_MAX,
-                       num_partitions: int = 8):
-    """Common-neighbors link prediction over the undirected simple
-    graph: every NON-adjacent pair (u < v) sharing at least
-    ``min_common`` neighbors, scored with the Jaccard coefficient
-    cn / (deg(u) + deg(v) − cn) — the classic missing-edge /
-    recommend-a-connection primitive (Liben-Nowell & Kleinberg).
-    BIT-EXACT: counts and degrees are integers, the score is ONE
-    division. Returns a ``pyarrow.Table``
-    (u, v, n_common, deg_u, deg_v, jaccard) sorted by (u, v) —
-    O(result) rows on the driver, kept small by the threshold.
-
-    Scale shape (above ``driver_limit`` edges): canonical-distinct
-    exchange; degree-count exchange; a full-adjacency wedge emit
-    keyed by apex (volume Σ deg² — the same E^1.5-class term
-    triangle_counts pays; cap hub degrees upstream if skewed); ONE
-    tagged-union exchange keyed by the pair's lower node counts
-    wedge pairs AND anti-marks existing edges (an edge (b,c) is
-    canonical with src = b, so it co-partitions with the pairs it
-    must suppress); survivors are O(result) and their endpoint
-    degrees are pulled with a broadcast-mask filter over the degree
-    dataset — never a full-degree broadcast. Below the limit the
-    whole plan is the same algebra in driver numpy."""
-    from .shuffles import int_part_map as _ipm
-
-    empty = pa.table({"u": pa.array([], pa.int64()),
-                      "v": pa.array([], pa.int64()),
-                      "n_common": pa.array([], pa.int64()),
-                      "deg_u": pa.array([], pa.int64()),
-                      "deg_v": pa.array([], pa.int64()),
-                      "jaccard": pa.array([], pa.float64())})
-
-    edges_m = edges_ds.materialize()
-    n_edges = edges_m.count()
-    if n_edges == 0:
-        return empty
-
-    def _score(su, sv, scn, nodes, deg):
-        du = deg[np.searchsorted(nodes, su)]
-        dv = deg[np.searchsorted(nodes, sv)]
-        jac = scn.astype(np.float64) / (du + dv - scn).astype(np.float64)
-        o = np.lexsort((sv, su))
-        return pa.table({"u": pa.array(su[o]), "v": pa.array(sv[o]),
-                         "n_common": pa.array(scn[o]),
-                         "deg_u": pa.array(du[o]),
-                         "deg_v": pa.array(dv[o]),
-                         "jaccard": pa.array(jac[o], pa.float64())})
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables(
-            [pa.table(b) for b in edges_m.select_columns([src, dst])
-                                         .iter_batches(batch_format="pyarrow")])
-        uu = cat.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
-        vv = cat.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
-        lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
-        keep = lo != hi
-        uv = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-        if not len(uv):
-            return empty
-        a, b = uv[:, 0], uv[:, 1]
-        nodes, inv = np.unique(np.concatenate([a, b]),
-                               return_inverse=True)
-        ai, bi = inv[:len(a)], inv[len(a):]
-        n = len(nodes)
-        deg = (np.bincount(ai, minlength=n)
-               + np.bincount(bi, minlength=n)).astype(np.int64)
-        # full adjacency, wedge pairs id-ordered within each apex
-        ap = np.concatenate([ai, bi])
-        ot = np.concatenate([bi, ai])
-        o = np.lexsort((ot, ap))
-        ap, ot = ap[o], ot[o]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(ap[1:] != ap[:-1]) + 1, [len(ap)]))
-        wb, wc, _ = _pairs_from_sorted_groups(starts, ot)
-        if not len(wb):
-            return empty
-        key = wb * np.int64(n) + wc
-        ukey, cnt = np.unique(key, return_counts=True)
-        ekey = np.sort(ai * np.int64(n) + bi)
-        pos = np.searchsorted(ekey, ukey)
-        is_edge = np.zeros(len(ukey), bool)
-        inb = pos < len(ekey)
-        is_edge[inb] = ekey[pos[inb]] == ukey[inb]
-        sel = (cnt >= min_common) & ~is_edge
-        if not sel.any():
-            return empty
-        su = nodes[(ukey[sel] // n).astype(np.int64)]
-        sv = nodes[(ukey[sel] % n).astype(np.int64)]
-        return _score(su, sv, cnt[sel].astype(np.int64), nodes, deg)
-
-    # ---- distributed path --------------------------------------------
-    def to_canon(t: pa.Table) -> pa.Table:
-        uu = t.column(src).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vv = t.column(dst).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
-        keep = lo != hi
-        return pa.table({"src": pa.array(lo[keep]),
-                         "dst": pa.array(hi[keep])})
-
-    canon = _ipm(edges_m.map_batches(to_canon, batch_format="pyarrow"),
-                 "src", _distinct_edges,
-                 num_partitions=num_partitions).materialize()
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        aa = t.column("src").combine_chunks()
-        bb = t.column("dst").combine_chunks()
-        return pa.table({"node": pa.concat_arrays([aa, bb])})
-
-    deg_ds = _ipm(canon.map_batches(node_rows, batch_format="pyarrow"),
-                  "node", _count_per_node,
-                  num_partitions=num_partitions).materialize()
-
-    def both_dirs(t: pa.Table) -> pa.Table:
-        aa = t.column("src").combine_chunks()
-        bb = t.column("dst").combine_chunks()
-        return pa.table({"apex": pa.concat_arrays([aa, bb]),
-                         "other": pa.concat_arrays([bb, aa])})
-
-    def wedge_kernel(df: pd.DataFrame) -> pd.DataFrame:
-        z = np.array([], np.int64)
-        if not len(df):
-            return pd.DataFrame({"b": z, "c": z, "tag": z})
-        ap = df["apex"].to_numpy(np.int64)
-        ot = df["other"].to_numpy(np.int64)
-        o = np.lexsort((ot, ap))
-        ap, ot = ap[o], ot[o]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(ap[1:] != ap[:-1]) + 1, [len(ap)]))
-        wb, wc, _ = _pairs_from_sorted_groups(starts, ot)
-        return pd.DataFrame({"b": wb, "c": wc,
-                             "tag": np.zeros(len(wb), np.int64)})
-
-    wedges = _ipm(canon.map_batches(both_dirs, batch_format="pyarrow"),
-                  "apex", wedge_kernel, num_partitions=num_partitions)
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"b": t.column("src"), "c": t.column("dst"),
-                         "tag": pa.array(
-                             np.ones(t.num_rows, np.int64))})
-
-    def count_and_filter(df: pd.DataFrame) -> pd.DataFrame:
-        z = np.array([], np.int64)
-        out_empty = pd.DataFrame({"u": z, "v": z, "n_common": z})
-        if not len(df):
-            return out_empty
-        tg = df["tag"].to_numpy(np.int64)
-        wb = df["b"].to_numpy(np.int64)[tg == 0]
-        wc = df["c"].to_numpy(np.int64)[tg == 0]
-        eb = df["b"].to_numpy(np.int64)[tg == 1]
-        ec = df["c"].to_numpy(np.int64)[tg == 1]
-        if not len(wb):
-            return out_empty
-        o = np.lexsort((wc, wb))
-        wb, wc = wb[o], wc[o]
-        new = np.ones(len(wb), bool)
-        new[1:] = (wb[1:] != wb[:-1]) | (wc[1:] != wc[:-1])
-        st = np.flatnonzero(new)
-        cnt = np.diff(np.append(st, len(wb)))
-        pb, pc = wb[st], wc[st]
-        # anti-mark canonical edges (co-partitioned: src == pair's b)
-        is_edge = np.zeros(len(pb), bool)
-        hi_id = max(int(pb.max(initial=0)), int(pc.max(initial=0)),
-                    int(eb.max(initial=0)), int(ec.max(initial=0)))
-        if hi_id < 2 ** 31:      # packed-key searchsorted, no loop
-            ek = np.sort(eb * np.int64(2 ** 31) + ec)
-            pk = pb * np.int64(2 ** 31) + pc
-            pos = np.searchsorted(ek, pk)
-            inb = pos < len(ek)
-            is_edge[inb] = ek[pos[inb]] == pk[inb]
-        else:                    # rare: ids beyond 31 bits, per-b scan
-            eo = np.lexsort((ec, eb))
-            eb, ec = eb[eo], ec[eo]
-            pos = np.searchsorted(eb, pb)
-            for i in np.flatnonzero((pos < len(eb))
-                                    & (eb[np.clip(pos, 0, len(eb) - 1)]
-                                       == pb)):
-                j = pos[i]
-                while j < len(eb) and eb[j] == pb[i]:
-                    if ec[j] == pc[i]:
-                        is_edge[i] = True
-                        break
-                    j += 1
-        sel = (cnt >= min_common) & ~is_edge
-        return pd.DataFrame({"u": pb[sel], "v": pc[sel],
-                             "n_common": cnt[sel].astype(np.int64)})
-
-    surv = pa.concat_tables(
-        [pa.table(b) for b in
-         _ipm(wedges.union(canon.map_batches(tag_edges,
-                                             batch_format="pyarrow")),
-              "b", count_and_filter, num_partitions=num_partitions)
-         .iter_batches(batch_format="pyarrow")] or [pa.table(
-             {"u": pa.array([], pa.int64()),
-              "v": pa.array([], pa.int64()),
-              "n_common": pa.array([], pa.int64())})])
-    if surv.num_rows == 0:
-        return empty
-    su = surv.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
-    sv = surv.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-    scn = surv.column("n_common").to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    want = np.unique(np.concatenate([su, sv]))
-    handle = ray.put(want)
-
-    def pick(t: pa.Table) -> pa.Table:
-        w = ray.get(handle)
-        nd = t.column("node").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        p = np.searchsorted(w, nd)
-        ok = (p < len(w)) & (w[np.clip(p, 0, len(w) - 1)] == nd)
-        return t.filter(pa.array(ok))
-
-    dd = pa.concat_tables(
-        [pa.table(b) for b in deg_ds.map_batches(
-            pick, batch_format="pyarrow")
-         .iter_batches(batch_format="pyarrow")])
-    o = np.argsort(dd.column("node").to_numpy(zero_copy_only=False),
-                   kind="mergesort")
-    nodes = dd.column("node").to_numpy(zero_copy_only=False) \
-        .astype(np.int64)[o]
-    deg = dd.column("deg").to_numpy(zero_copy_only=False) \
-        .astype(np.int64)[o]
-    return _score(su, sv, scn, nodes, deg)
-
-
-def label_propagation(edges_ds, seed_mod: int = 97, n_labels: int = 5,
-                      n_rounds: int = 3, src: str = "src",
-                      dst: str = "dst",
-                      driver_limit: int = DRIVER_CC_MAX,
-                      num_partitions: int = 8):
-    """Semi-supervised label propagation over the undirected simple
-    graph (Zhu/Ghahramani-style, synchronous): seed nodes
-    (node % ``seed_mod`` == 0) are pinned to label node % ``n_labels``;
-    every round each non-seed node takes the MAJORITY label among its
-    labeled neighbors (count desc, label asc — deterministic) or keeps
-    its previous label when none are labeled; unreached nodes stay −1.
-    Fixed ``n_rounds`` so the oracle can unroll the rounds as CTEs
-    (the pagerank precedent). Pure integer counts and compares —
-    hash-exact. Returns (node, label) sorted by node.
-
-    Scale shape: below ``driver_limit`` edges the plan is a dense
-    (nodes × n_labels) bincount per round in driver numpy. Above: the
-    canonical-distinct exchange once, then per round ONE owner-lookup
-    exchange attaches current labels to the symmetric edge list and
-    ONE tagged-union exchange does the per-node majority + merge —
-    O(nodes) rows per round, never a Dataset.join."""
-    edges_ds = edges_ds.materialize()
-    n_edges = edges_ds.count()
-    empty = pa.table({"node": pa.array([], pa.int64()),
-                      "label": pa.array([], pa.int64())})
-    if n_edges == 0:
-        return empty
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables(
-            [pa.table(b) for b in edges_ds.select_columns([src, dst])
-                                          .iter_batches(batch_format="pyarrow")])
-        u = cat.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
-        v = cat.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keep = lo != hi
-        uv = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-        if not len(uv):
-            return empty
-        a, b = uv[:, 0], uv[:, 1]
-        nodes, inv = np.unique(np.concatenate([a, b]),
-                               return_inverse=True)
-        ai, bi = inv[:len(a)], inv[len(a):]
-        n = len(nodes)
-        seed = nodes % seed_mod == 0
-        lbl = np.where(seed, nodes % n_labels, -1).astype(np.int64)
-        su = np.concatenate([ai, bi])     # symmetric directions
-        sv = np.concatenate([bi, ai])
-        for _ in range(n_rounds):
-            sel = lbl[su] >= 0
-            counts = np.zeros((n, n_labels), np.int64)
-            np.add.at(counts, (sv[sel], lbl[su[sel]]), 1)
-            any_nb = counts.sum(axis=1) > 0
-            new = counts.argmax(axis=1).astype(np.int64)
-            lbl = np.where(seed, lbl,
-                           np.where(any_nb, new, lbl))
-        return pa.table({"node": pa.array(nodes),
-                         "label": pa.array(lbl)})
-
-    # ---- distributed path ------------------------------------------------
-    import ray.data as rd
-
-    from .shuffles import int_part_map as _ipm
-
-    def to_canon(t: pa.Table) -> pa.Table:
-        uu = t.column(src).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vv = t.column(dst).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
-        keep = lo != hi
-        return pa.table({"src": pa.array(lo[keep]),
-                         "dst": pa.array(hi[keep])})
-
-    canon = _ipm(edges_ds.map_batches(to_canon, batch_format="pyarrow"),
-                 "src", _distinct_edges,
-                 num_partitions=num_partitions).materialize()
-
-    def sym(t: pa.Table) -> pa.Table:
-        aa = t.column("src").combine_chunks()
-        bb = t.column("dst").combine_chunks()
-        return pa.table({"gkey": pa.concat_arrays([aa, bb]),
-                         "dst": pa.concat_arrays([bb, aa]),
-                         "lab": pa.array(np.zeros(t.num_rows * 2,
-                                                  np.int64)),
-                         "tag": pa.array(np.zeros(t.num_rows * 2,
-                                                  np.int8))})
-
-    sym_e = canon.map_batches(sym, batch_format="pyarrow") \
-        .materialize()
-
-    def init_labels(df: pd.DataFrame) -> pd.DataFrame:
-        nd = np.unique(df["node"].to_numpy(np.int64))
-        lb = np.where(nd % seed_mod == 0, nd % n_labels, -1) \
-            .astype(np.int64)
-        return pd.DataFrame({"node": nd, "label": lb})
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        aa = t.column("src").combine_chunks()
-        bb = t.column("dst").combine_chunks()
-        return pa.table({"node": pa.concat_arrays([aa, bb])})
-
-    labels = _ipm(canon.map_batches(node_rows, batch_format="pyarrow"),
-                  "node", init_labels,
-                  num_partitions=num_partitions).materialize()
-
-    def tag_lab(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("node"),
-                         "dst": t.column("node"),
-                         "lab": t.column("label"),
-                         "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-    def majority_merge(df: pd.DataFrame) -> pd.DataFrame:
-        z = np.array([], np.int64)
-        if not len(df):
-            return pd.DataFrame({"node": z, "label": z})
-        tg = df["tag"].to_numpy()
-        own = df[tg == 1]
-        prop = df[tg == 0]
-        nd = own["node"].to_numpy(np.int64)
-        ol = own["label"].to_numpy(np.int64)
-        o = np.argsort(nd, kind="stable")
-        nd, ol = nd[o], ol[o]
-        out = ol.copy()
-        pn = prop["node"].to_numpy(np.int64)
-        pl = prop["label"].to_numpy(np.int64)
-        ok = pl >= 0
-        pn, pl = pn[ok], pl[ok]
-        if len(pn):
-            pidx = np.searchsorted(nd, pn)
-            counts = np.zeros((len(nd), n_labels), np.int64)
-            np.add.at(counts, (pidx, pl), 1)
-            any_nb = counts.sum(axis=1) > 0
-            new = counts.argmax(axis=1).astype(np.int64)
-            seed = nd % seed_mod == 0
-            upd = (~seed) & any_nb
-            out[upd] = new[upd]
-        return pd.DataFrame({"node": nd, "label": out})
-
-    for _ in range(n_rounds):
-        # 1) attach current labels to symmetric edges (owner lookup)
-        msgs = _ipm(sym_e.union(labels.map_batches(
-            tag_lab, batch_format="pyarrow")),
-            "gkey", _owner_lookup, num_partitions=num_partitions)
-        # 2) per-node majority + merge with previous labels
-
-        def tag_prop(t: pa.Table) -> pa.Table:
-            return pa.table({"node": t.column("node"),
-                             "label": t.column("label"),
-                             "tag": pa.array(np.zeros(t.num_rows,
-                                                      np.int8))})
-
-        def tag_prev(t: pa.Table) -> pa.Table:
-            return pa.table({"node": t.column("node"),
-                             "label": t.column("label"),
-                             "tag": pa.array(np.ones(t.num_rows,
-                                                     np.int8))})
-
-        labels = _ipm(msgs.map_batches(tag_prop,
-                                       batch_format="pyarrow")
-                      .union(labels.map_batches(
-                          tag_prev, batch_format="pyarrow")),
-                      "node", majority_merge,
-                      num_partitions=num_partitions).materialize()
-
-    cat = pa.concat_tables(
-        [pa.table(b) for b in labels.iter_batches(batch_format="pyarrow")])
-    o = np.argsort(cat.column("node").to_numpy(zero_copy_only=False),
-                   kind="mergesort")
-    return pa.table({
-        "node": pa.array(cat.column("node")
-                         .to_numpy(zero_copy_only=False)[o]),
-        "label": pa.array(cat.column("label")
-                          .to_numpy(zero_copy_only=False)[o])})
-
-
 def degree_assortativity(edges_ds, src: str = "src", dst: str = "dst",
                          driver_limit: int = DRIVER_CC_MAX,
                          num_partitions: int = 8):
@@ -2310,272 +1911,6 @@ def degree_assortativity(edges_ds, src: str = "src", dst: str = "dst",
     return _finish(n, sx, sxy, sxx)
 
 
-def maximal_independent_set(edges_ds, src: str = "src",
-                            dst: str = "dst",
-                            driver_limit: int = DRIVER_CC_MAX,
-                            max_rounds: int = 64,
-                            num_partitions: int = 8):
-    """Maximal independent set of the undirected simple graph via
-    static-priority parallel greedy (Luby-style with the re-randomized
-    coin replaced by a FIXED md5 priority per node, so the result is
-    the deterministic lexicographically-first MIS in priority order
-    and an SQL twin can replay it): each round every LIVE node whose
-    priority is smaller than all live neighbors' joins the MIS and its
-    neighbors die; rounds repeat until no node is live. Expected
-    O(log n) rounds for hash-random priorities. Returns a
-    ``pyarrow.Table`` (node,) sorted — the MIS members. Anti-chain +
-    maximality hold by construction (pinned in pytest).
-
-    Scale shape: below ``driver_limit`` edges a vectorized numpy loop
-    on the driver (minimum.at per round). Above: per round FOUR keyed
-    raw-task exchanges in the k_core/label_propagation idiom —
-    (1) live-src edges emit (dst, prio(src)); (2) per-node fold picks
-    candidates (live, prio < min over live-neighbor prios — priorities
-    recompute from the node id, never shipped with state); (3) edges
-    keyed by src against the candidate set emit kill rows; (4) status
-    fold applies MIS/killed. One O(1) live-count scalar reaches the
-    driver per round; no Dataset.join anywhere."""
-    import ray.data as rd
-
-    from ..stages.aggregates import md5_low64
-    from .shuffles import int_part_map as _ipm
-
-    M63 = (1 << 63) - 1
-    INF = np.iinfo(np.int64).max
-
-    def _prio(nodes: np.ndarray) -> np.ndarray:
-        return np.array([md5_low64(str(int(x))) & M63 for x in nodes],
-                        np.int64)
-
-    edges_ds = edges_ds.materialize()
-    n_edges = edges_ds.count()
-    empty = pa.table({"node": pa.array([], pa.int64())})
-    if n_edges == 0:
-        return empty
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables(
-            [pa.table(b) for b in edges_ds.select_columns([src, dst])
-             .iter_batches(batch_format="pyarrow")])
-        u = cat.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
-        v = cat.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        nodes, inv = np.unique(np.concatenate([u, v]),
-                               return_inverse=True)
-        if not len(nodes):
-            return empty
-        ui, vi = inv[:len(u)], inv[len(u):]
-        su = np.concatenate([ui, vi])      # symmetric
-        sv = np.concatenate([vi, ui])
-        prio = _prio(nodes)
-        n = len(nodes)
-        live = np.ones(n, bool)
-        mis = np.zeros(n, bool)
-        for _ in range(max_rounds):
-            if not live.any():
-                break
-            m = live[su] & live[sv]
-            minp = np.full(n, INF, np.int64)
-            np.minimum.at(minp, sv[m], prio[su[m]])
-            cand = live & (prio < minp)
-            mis |= cand
-            kill = np.zeros(n, bool)
-            sel = m & cand[su]
-            kill[sv[sel]] = True
-            live &= ~(cand | kill)
-        if live.any():
-            raise RuntimeError("MIS did not converge in "
-                               f"{max_rounds} rounds")
-        return pa.table({"node": pa.array(np.sort(nodes[mis]))})
-
-    # ---- distributed path ------------------------------------------------
-    def sym(t: pa.Table) -> pa.Table:
-        uu = t.column(src).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vv = t.column(dst).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        keep = uu != vv
-        uu, vv = uu[keep], vv[keep]
-        return pa.table({"src": pa.array(np.concatenate([uu, vv])),
-                         "dst": pa.array(np.concatenate([vv, uu]))})
-
-    e = _ipm(edges_ds.map_batches(sym, batch_format="pyarrow"),
-             "src", _distinct_edges,
-             num_partitions=num_partitions).materialize()
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t.column("src")})
-
-    def init_status(df: pd.DataFrame) -> pd.DataFrame:
-        nd = np.unique(df["node"].to_numpy(np.int64))
-        return pd.DataFrame({"node": nd,
-                             "st": np.zeros(len(nd), np.int64)})
-
-    # st: 0 = live, 1 = MIS, 2 = removed
-    status = _ipm(e.map_batches(node_rows, batch_format="pyarrow"),
-                  "node", init_status,
-                  num_partitions=num_partitions).materialize()
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("src"),
-                         "other": t.column("dst"),
-                         "st": pa.array(np.full(t.num_rows, -1,
-                                                np.int64)),
-                         "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    def tag_status(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("node"),
-                         "other": t.column("node"),
-                         "st": t.column("st"),
-                         "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-    def _live_member(own: pd.DataFrame, keys: np.ndarray) -> np.ndarray:
-        """Membership of ``keys`` in own's LIVE node set (sorted probe)."""
-        liv = np.sort(own.loc[own["st"].to_numpy(np.int64) == 0, "gkey"]
-                      .to_numpy(np.int64))
-        idx = np.searchsorted(liv, keys)
-        ok = np.zeros(len(keys), bool)
-        inb = idx < len(liv)
-        ok[inb] = liv[idx[inb]] == keys[inb]
-        return ok
-
-    def emit_nb_prio(df: pd.DataFrame) -> pd.DataFrame:
-        """Round step 1: live-src edges emit (node=dst, p=prio(src))."""
-        z = np.array([], np.int64)
-        tg = df["tag"].to_numpy()
-        own, fol = df[tg == 1], df[tg == 0]
-        if not len(fol) or not len(own):
-            return pd.DataFrame({"node": z, "p": z})
-        g = fol["gkey"].to_numpy(np.int64)
-        ok = _live_member(own, g)
-        srcs = g[ok]
-        return pd.DataFrame({"node": fol["other"].to_numpy(np.int64)[ok],
-                             "p": _prio(srcs)})
-
-    def tag_nb(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("node"),
-                         "other": t.column("node"),
-                         "st": t.column("p"),
-                         "tag": pa.array(np.full(t.num_rows, 2, np.int8))})
-
-    def pick_cand(df: pd.DataFrame) -> pd.DataFrame:
-        """Round step 2: per-node min over live-neighbor prios; live
-        nodes beating that min become candidates (st -> 1)."""
-        z = np.array([], np.int64)
-        tg = df["tag"].to_numpy()
-        own = df[tg == 1]
-        nb = df[tg == 2]
-        if not len(own):
-            return pd.DataFrame({"node": z, "st": z})
-        nd = own["gkey"].to_numpy(np.int64)
-        st = own["st"].to_numpy(np.int64).copy()
-        o = np.argsort(nd, kind="stable")
-        nd, st = nd[o], st[o]
-        minp = np.full(len(nd), INF, np.int64)
-        if len(nb):
-            k = nb["gkey"].to_numpy(np.int64)
-            p = nb["st"].to_numpy(np.int64)
-            pos = np.searchsorted(nd, k)
-            np.minimum.at(minp, pos, p)
-        liv = st == 0
-        pr = np.full(len(nd), INF, np.int64)
-        if liv.any():
-            pr[liv] = _prio(nd[liv])
-        st[liv & (pr < minp)] = 1
-        return pd.DataFrame({"node": nd, "st": st})
-
-    def cand_rows(t: pa.Table) -> pa.Table:
-        st = t.column("st").to_numpy(zero_copy_only=False)
-        sel = st == 1
-        nd = t.column("node").to_numpy(zero_copy_only=False)[sel]
-        return pa.table({"gkey": pa.array(nd),
-                         "other": pa.array(nd),
-                         "st": pa.array(np.ones(len(nd), np.int64)),
-                         "tag": pa.array(np.ones(len(nd), np.int8))})
-
-    def emit_kills(df: pd.DataFrame) -> pd.DataFrame:
-        """Round step 3: edges whose src is a NEW candidate emit the
-        dst as a kill row."""
-        z = np.array([], np.int64)
-        tg = df["tag"].to_numpy()
-        own, fol = df[tg == 1], df[tg == 0]
-        if not len(fol) or not len(own):
-            return pd.DataFrame({"node": z})
-        ck = np.sort(own["gkey"].to_numpy(np.int64))
-        g = fol["gkey"].to_numpy(np.int64)
-        idx = np.searchsorted(ck, g)
-        ok = np.zeros(len(g), bool)
-        inb = idx < len(ck)
-        ok[inb] = ck[idx[inb]] == g[inb]
-        return pd.DataFrame(
-            {"node": fol["other"].to_numpy(np.int64)[ok]})
-
-    def tag_kill(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("node"),
-                         "other": t.column("node"),
-                         "st": pa.array(np.zeros(t.num_rows, np.int64)),
-                         "tag": pa.array(np.full(t.num_rows, 2, np.int8))})
-
-    def apply_kills(df: pd.DataFrame) -> pd.DataFrame:
-        """Round step 4: live nodes adjacent to a new MIS member die."""
-        z = np.array([], np.int64)
-        tg = df["tag"].to_numpy()
-        own = df[tg == 1]
-        kl = df[tg == 2]
-        if not len(own):
-            return pd.DataFrame({"node": z, "st": z})
-        nd = own["gkey"].to_numpy(np.int64)
-        st = own["st"].to_numpy(np.int64).copy()
-        if len(kl):
-            ks = np.unique(kl["gkey"].to_numpy(np.int64))
-            idx = np.searchsorted(ks, nd)
-            hit = np.zeros(len(nd), bool)
-            inb = idx < len(ks)
-            hit[inb] = ks[idx[inb]] == nd[inb]
-            st[(st == 0) & hit] = 2
-        return pd.DataFrame({"node": nd, "st": st})
-
-    for _ in range(max_rounds):
-        n_live = int(status.map_batches(
-            lambda t: pa.table({"n": pa.array(
-                [int((t.column("st").to_numpy(zero_copy_only=False)
-                      == 0).sum())], pa.int64())}),
-            batch_format="pyarrow").sum("n"))
-        if n_live == 0:
-            break
-        nbp = _ipm(e.map_batches(tag_edges, batch_format="pyarrow")
-                   .union(status.map_batches(tag_status,
-                                             batch_format="pyarrow")),
-                   "gkey", emit_nb_prio,
-                   num_partitions=num_partitions)
-        status = _ipm(status.map_batches(tag_status,
-                                         batch_format="pyarrow")
-                      .union(nbp.map_batches(tag_nb,
-                                             batch_format="pyarrow")),
-                      "gkey", pick_cand,
-                      num_partitions=num_partitions).materialize()
-        kills = _ipm(e.map_batches(tag_edges, batch_format="pyarrow")
-                     .union(status.map_batches(cand_rows,
-                                               batch_format="pyarrow")),
-                     "gkey", emit_kills,
-                     num_partitions=num_partitions)
-        # freshly-picked candidates become permanent MIS members (1);
-        # pick_cand marked them already, so only kills remain to apply
-        status = _ipm(status.map_batches(tag_status,
-                                         batch_format="pyarrow")
-                      .union(kills.map_batches(tag_kill,
-                                               batch_format="pyarrow")),
-                      "gkey", apply_kills,
-                      num_partitions=num_partitions).materialize()
-    else:
-        raise RuntimeError(f"MIS did not converge in {max_rounds} rounds")
-
-    out = pa.concat_tables(
-        [pa.table(b) for b in status.iter_batches(batch_format="pyarrow")])
-    nd = out.column("node").to_numpy(zero_copy_only=False)
-    st = out.column("st").to_numpy(zero_copy_only=False)
-    return pa.table({"node": pa.array(np.sort(nd[st == 1]))})
-
-
 def closeness_sampled(edges_ds, n_sources: int = 4,
                       src: str = "src", dst: str = "dst",
                       **bfs_kwargs):
@@ -2670,591 +2005,6 @@ def closeness_sampled(edges_ds, n_sources: int = 4,
                           .astype(np.int64)),
         "sum_hops": pa.array(np.add.reduceat(hp, st).astype(np.int64)),
     })
-
-
-def dag_layers(edges_ds, src: str = "src", dst: str = "dst",
-               driver_limit: int = DRIVER_CC_MAX,
-               max_rounds: int = 256, num_partitions: int = 8):
-    """Topological LAYERS of the degree-oriented acyclification of an
-    undirected graph: each edge directs from its (degree, id)-smaller
-    endpoint (acyclic by construction — the triangle_counts
-    orientation), and a node's layer is its longest in-path length
-    (equivalently the Kahn-peel round at which its in-degree hits
-    zero) — the parallel-scheduling depth signal for dependency
-    graphs. All-integer, deterministic. Returns a ``pyarrow.Table``
-    (node, layer) sorted by node.
-
-    Scale shape: below ``driver_limit`` edges a numpy peel loop on the
-    driver (bincount in-degrees per round). Above: the canonicalize
-    exchange once, then per round ONE owner-lookup exchange keeps
-    edges whose src is still alive and ONE tagged-union exchange
-    peels in-degree-0 nodes, stamping the round as their layer; the
-    driver sees one O(1) alive-count scalar per round; rounds = DAG
-    depth (≤ longest degeneracy path, 20 on the sf0.01 graph)."""
-    import ray.data as rd
-
-    from .shuffles import int_part_map as _ipm
-
-    edges_ds = edges_ds.materialize()
-    n_edges = edges_ds.count()
-    empty = pa.table({"node": pa.array([], pa.int64()),
-                      "layer": pa.array([], pa.int64())})
-    if n_edges == 0:
-        return empty
-
-    def orient(u, v):
-        """Degree-oriented DAG edges (du, dv) from undirected u, v."""
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keep = lo != hi
-        uv = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-        a, b = uv[:, 0], uv[:, 1]
-        nodes, inv = np.unique(np.concatenate([a, b]),
-                               return_inverse=True)
-        ai, bi = inv[:len(a)], inv[len(a):]
-        deg = np.bincount(np.concatenate([ai, bi]),
-                          minlength=len(nodes))
-        sw = (deg[ai] > deg[bi]) | \
-            ((deg[ai] == deg[bi]) & (nodes[ai] > nodes[bi]))
-        return nodes, np.where(sw, bi, ai), np.where(sw, ai, bi)
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables(
-            [pa.table(b) for b in edges_ds.select_columns([src, dst])
-             .iter_batches(batch_format="pyarrow")])
-        u = cat.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
-        v = cat.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
-        nodes, du, dv = orient(u, v)
-        if not len(nodes):
-            return empty
-        n = len(nodes)
-        layer = np.full(n, -1, np.int64)
-        alive = np.ones(n, bool)
-        for r in range(max_rounds):
-            if not alive.any():
-                break
-            indeg = np.bincount(dv[alive[du] & alive[dv]], minlength=n)
-            rem = alive & (indeg == 0)
-            layer[rem] = r
-            alive &= ~rem
-        if alive.any():
-            raise RuntimeError("dag_layers did not converge in "
-                               f"{max_rounds} rounds")
-        return pa.table({"node": pa.array(nodes),
-                         "layer": pa.array(layer)})
-
-    # ---- distributed path: orient via two exchanges, then peel ----------
-    def to_canon(t: pa.Table) -> pa.Table:
-        uu = t.column(src).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vv = t.column(dst).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
-        keep = lo != hi
-        return pa.table({"src": pa.array(lo[keep]),
-                         "dst": pa.array(hi[keep])})
-
-    canon = _ipm(edges_ds.map_batches(to_canon, batch_format="pyarrow"),
-                 "src", _distinct_edges,
-                 num_partitions=num_partitions).materialize()
-
-    # degree per node: symmetric endpoint counts (combiner per batch)
-    def deg_partial(t: pa.Table) -> pa.Table:
-        aa = t.column("src").to_numpy(zero_copy_only=False)
-        bb = t.column("dst").to_numpy(zero_copy_only=False)
-        s = np.sort(np.concatenate([aa, bb]))
-        new = np.ones(len(s), bool)
-        new[1:] = s[1:] != s[:-1]
-        st = np.nonzero(new)[0]
-        return pa.table({"node": pa.array(s[st]),
-                         "cnt": pa.array(np.diff(np.append(st, len(s)))
-                                         .astype(np.int64))})
-
-    def fold_deg(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["node"].to_numpy(np.int64)
-        c = df["cnt"].to_numpy(np.int64)
-        o = np.argsort(n, kind="stable")
-        n, c = n[o], c[o]
-        new = np.ones(len(n), bool)
-        new[1:] = n[1:] != n[:-1]
-        st = np.nonzero(new)[0]
-        return pd.DataFrame({"node": n[st],
-                             "deg": np.add.reduceat(c, st)})
-
-    degs = _ipm(canon.map_batches(deg_partial, batch_format="pyarrow"),
-                "node", fold_deg,
-                num_partitions=num_partitions).materialize()
-
-    # attach degrees to both endpoints (two owner-lookup exchanges),
-    # then orient each canonical edge
-    def tag_edge_for(key: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({"gkey": t.column(key),
-                             "src": t.column("src"),
-                             "dst": t.column("dst"),
-                             "d": pa.array(np.full(t.num_rows, -1,
-                                                   np.int64)),
-                             "tag": pa.array(np.zeros(t.num_rows,
-                                                      np.int8))})
-        return f
-
-    def tag_deg(t: pa.Table) -> pa.Table:
-        nd = t.column("node")
-        return pa.table({"gkey": nd, "src": nd, "dst": nd,
-                         "d": t.column("deg"),
-                         "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-    def attach(colname: str):
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            z = np.array([], np.int64)
-            tg = df["tag"].to_numpy()
-            own, fol = df[tg == 1], df[tg == 0]
-            cols = {"src": z, "dst": z, "dsrc": z}
-            if colname == "ddst":
-                cols = {"src": z, "dst": z, "dsrc": z, "ddst": z}
-            if not len(fol) or not len(own):
-                return pd.DataFrame(cols)
-            ok = own["gkey"].to_numpy(np.int64)
-            dv_ = own["d"].to_numpy(np.int64)
-            o = np.argsort(ok, kind="stable")
-            ok, dv_ = ok[o], dv_[o]
-            g = fol["gkey"].to_numpy(np.int64)
-            pos = np.searchsorted(ok, g)
-            out = {"src": fol["src"].to_numpy(np.int64),
-                   "dst": fol["dst"].to_numpy(np.int64)}
-            if colname == "ddst":
-                out["dsrc"] = fol["d2"].to_numpy(np.int64)
-            out[colname] = dv_[pos]
-            return pd.DataFrame(out)
-        return f
-
-    e1 = _ipm(canon.map_batches(tag_edge_for("src"),
-                                batch_format="pyarrow")
-              .union(degs.map_batches(tag_deg, batch_format="pyarrow")),
-              "gkey", attach("dsrc"), num_partitions=num_partitions)
-
-    def tag_e1(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("dst"),
-                         "src": t.column("src"),
-                         "dst": t.column("dst"),
-                         "d2": t.column("dsrc"),
-                         "d": pa.array(np.full(t.num_rows, -1, np.int64)),
-                         "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    def tag_deg2(t: pa.Table) -> pa.Table:
-        nd = t.column("node")
-        return pa.table({"gkey": nd, "src": nd, "dst": nd,
-                         "d2": pa.array(np.full(t.num_rows, -1,
-                                                np.int64)),
-                         "d": t.column("deg"),
-                         "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-    e2 = _ipm(e1.map_batches(tag_e1, batch_format="pyarrow")
-              .union(degs.map_batches(tag_deg2, batch_format="pyarrow")),
-              "gkey", attach("ddst"), num_partitions=num_partitions)
-
-    def to_dag(t: pa.Table) -> pa.Table:
-        a = t.column("src").to_numpy(zero_copy_only=False)
-        b = t.column("dst").to_numpy(zero_copy_only=False)
-        da = t.column("dsrc").to_numpy(zero_copy_only=False)
-        db = t.column("ddst").to_numpy(zero_copy_only=False)
-        sw = (da > db) | ((da == db) & (a > b))
-        return pa.table({"src": pa.array(np.where(sw, b, a)),
-                         "dst": pa.array(np.where(sw, a, b))})
-
-    dag = e2.map_batches(to_dag, batch_format="pyarrow").materialize()
-
-    # peel rounds: status (node, layer) with layer = -1 while alive
-    def init_layers(df: pd.DataFrame) -> pd.DataFrame:
-        nd = np.unique(df["node"].to_numpy(np.int64))
-        return pd.DataFrame({"node": nd,
-                             "layer": np.full(len(nd), -1, np.int64)})
-
-    layers = _ipm(degs.map_batches(
-        lambda t: pa.table({"node": t.column("node")}),
-        batch_format="pyarrow"), "node", init_layers,
-        num_partitions=num_partitions).materialize()
-
-    def tag_dag(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("src"),
-                         "other": t.column("dst"),
-                         "lay": pa.array(np.full(t.num_rows, -2,
-                                                 np.int64)),
-                         "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    def tag_layers(t: pa.Table) -> pa.Table:
-        nd = t.column("node")
-        return pa.table({"gkey": nd, "other": nd,
-                         "lay": t.column("layer"),
-                         "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-    def alive_dst(df: pd.DataFrame) -> pd.DataFrame:
-        """Edges whose src is ALIVE (layer == -1) emit dst blockers."""
-        z = np.array([], np.int64)
-        tg = df["tag"].to_numpy()
-        own, fol = df[tg == 1], df[tg == 0]
-        if not len(fol) or not len(own):
-            return pd.DataFrame({"node": z})
-        liv = np.sort(own.loc[own["lay"].to_numpy(np.int64) == -1,
-                              "gkey"].to_numpy(np.int64))
-        g = fol["gkey"].to_numpy(np.int64)
-        pos = np.searchsorted(liv, g)
-        ok = np.zeros(len(g), bool)
-        inb = pos < len(liv)
-        ok[inb] = liv[pos[inb]] == g[inb]
-        return pd.DataFrame({"node": fol["other"].to_numpy(np.int64)[ok]})
-
-    def tag_block(t: pa.Table) -> pa.Table:
-        nd = t.column("node")
-        return pa.table({"gkey": nd, "other": nd,
-                         "lay": pa.array(np.full(t.num_rows, -2,
-                                                 np.int64)),
-                         "tag": pa.array(np.full(t.num_rows, 2,
-                                                 np.int8))})
-
-    for r in range(max_rounds):
-        n_alive = int(layers.map_batches(
-            lambda t: pa.table({"n": pa.array(
-                [int((t.column("layer").to_numpy(zero_copy_only=False)
-                      == -1).sum())], pa.int64())}),
-            batch_format="pyarrow").sum("n"))
-        if n_alive == 0:
-            break
-        blocked = _ipm(dag.map_batches(tag_dag, batch_format="pyarrow")
-                       .union(layers.map_batches(
-                           tag_layers, batch_format="pyarrow")),
-                       "gkey", alive_dst,
-                       num_partitions=num_partitions)
-
-        rr = r
-
-        def peel(df: pd.DataFrame, _r=rr) -> pd.DataFrame:
-            z = np.array([], np.int64)
-            tg = df["tag"].to_numpy()
-            own = df[tg == 1]
-            bl = df[tg == 2]
-            if not len(own):
-                return pd.DataFrame({"node": z, "layer": z})
-            nd = own["gkey"].to_numpy(np.int64)
-            ly = own["lay"].to_numpy(np.int64).copy()
-            blocked_set = np.unique(bl["gkey"].to_numpy(np.int64)) \
-                if len(bl) else np.array([], np.int64)
-            pos = np.searchsorted(blocked_set, nd)
-            isb = np.zeros(len(nd), bool)
-            inb = pos < len(blocked_set)
-            isb[inb] = blocked_set[pos[inb]] == nd[inb]
-            ly[(ly == -1) & ~isb] = _r
-            return pd.DataFrame({"node": nd, "layer": ly})
-
-        layers = _ipm(layers.map_batches(tag_layers,
-                                         batch_format="pyarrow")
-                      .union(blocked.map_batches(
-                          tag_block, batch_format="pyarrow")),
-                      "gkey", peel,
-                      num_partitions=num_partitions).materialize()
-    else:
-        raise RuntimeError(f"dag_layers did not converge in "
-                           f"{max_rounds} rounds")
-
-    out = pa.concat_tables(
-        [pa.table(b) for b in layers.iter_batches(batch_format="pyarrow")])
-    nd = out.column("node").to_numpy(zero_copy_only=False)
-    ly = out.column("layer").to_numpy(zero_copy_only=False)
-    o = np.argsort(nd, kind="stable")
-    return pa.table({"node": pa.array(nd[o]),
-                     "layer": pa.array(ly[o])})
-
-
-def k_truss(edges_ds, k: int = 3, src: str = "src", dst: str = "dst",
-            driver_limit: int = DRIVER_CC_MAX,
-            max_rounds: int = 64, num_partitions: int = 8):
-    """k-TRUSS decomposition of the undirected simple graph: the
-    maximal subgraph in which every edge participates in at least
-    ``k−2`` triangles (support) — the edge-level density filter one
-    notch stronger than k_core (Cohen 2008). Iterative peel: drop all
-    under-supported edges, recount, repeat to fixpoint; the fixpoint
-    is order-independent, so the driver and distributed paths agree
-    exactly. Support is a pure count of common ALIVE neighbors —
-    orientation is only a counting device, so each path may orient
-    however it likes. Returns a ``pyarrow.Table`` (src, dst) of the
-    truss edges, canonical (src < dst), sorted.
-
-    Scale shape: below ``driver_limit`` edges each round is the
-    triangle_counts numpy wedge-close with per-EDGE credit. Above:
-    per round the same five keyed exchanges as triangle_counts
-    (degree count, two degree-attach owner lookups, wedge emit,
-    close) with the close kernel emitting three canonical edge-credit
-    rows per triangle, plus one edge-keyed count+filter exchange; the
-    driver sees one O(1) edge-count scalar per round. Rounds =
-    peel depth (2 on the graded graphs)."""
-    import ray.data as rd
-
-    from .shuffles import int_part_map as _ipm
-
-    edges_ds = edges_ds.materialize()
-    empty = pa.table({"src": pa.array([], pa.int64()),
-                      "dst": pa.array([], pa.int64())})
-    n_edges = edges_ds.count()
-    if n_edges == 0:
-        return empty
-    thr = k - 2
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables(
-            [pa.table(b) for b in edges_ds.select_columns([src, dst])
-             .iter_batches(batch_format="pyarrow")])
-        u = cat.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
-        v = cat.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keep = lo != hi
-        uv = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-        if not len(uv):
-            return empty
-        a0, b0 = uv[:, 0], uv[:, 1]
-        nodes, inv = np.unique(np.concatenate([a0, b0]),
-                               return_inverse=True)
-        a, b = inv[:len(a0)], inv[len(a0):]
-        n = len(nodes)
-        for _ in range(max_rounds):
-            if not len(a):
-                break
-            deg = np.bincount(np.concatenate([a, b]), minlength=n)
-            order = np.lexsort((np.arange(n), deg))
-            rank = np.empty(n, np.int64)
-            rank[order] = np.arange(n)
-            fwd = rank[a] < rank[b]
-            x = np.where(fwd, a, b)
-            y = np.where(fwd, b, a)
-            o = np.lexsort((rank[y], x))
-            x, y = x[o], y[o]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(x[1:] != x[:-1]) + 1, [len(x)]))
-            wb, wc, wg = _pairs_from_sorted_groups(starts, y)
-            wa = x[starts[:-1]][wg]
-            ekeys = np.sort(x * np.int64(n) + y)
-            wk = wb * np.int64(n) + wc
-            idx = np.searchsorted(ekeys, wk)
-            found = np.zeros(len(wk), bool)
-            inb = idx < len(ekeys)
-            found[inb] = ekeys[idx[inb]] == wk[inb]
-            ta, tb_, tc = wa[found], wb[found], wc[found]
-
-            def ck(p, q):
-                return (np.minimum(p, q) * np.int64(n)
-                        + np.maximum(p, q))
-
-            allk = np.concatenate([ck(ta, tb_), ck(ta, tc),
-                                   ck(tb_, tc)])
-            allk.sort()
-            keys = ck(a, b)
-            sup = (np.searchsorted(allk, keys, side="right")
-                   - np.searchsorted(allk, keys, side="left"))
-            keep2 = sup >= thr
-            if keep2.all():
-                break
-            a, b = a[keep2], b[keep2]
-        else:
-            raise RuntimeError(f"k_truss did not converge in "
-                               f"{max_rounds} rounds")
-        o = np.lexsort((b, a))
-        return pa.table({"src": pa.array(nodes[a[o]]),
-                         "dst": pa.array(nodes[b[o]])})
-
-    # ---- distributed path ------------------------------------------------
-    def to_canon(t: pa.Table) -> pa.Table:
-        uu = t.column(src).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vv = t.column(dst).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
-        keep = lo != hi
-        return pa.table({"src": pa.array(lo[keep]),
-                         "dst": pa.array(hi[keep])})
-
-    alive = _ipm(edges_ds.map_batches(to_canon, batch_format="pyarrow"),
-                 "src", _distinct_edges,
-                 num_partitions=num_partitions).materialize()
-    n_alive = alive.count()
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        aa = t.column("src").combine_chunks()
-        bb = t.column("dst").combine_chunks()
-        return pa.table({"node": pa.concat_arrays([aa, bb])})
-
-    def tag_deg(t: pa.Table) -> pa.Table:
-        z = np.zeros(t.num_rows, np.int64)
-        return pa.table({"gkey": t.column("node"), "p1": t.column("deg"),
-                         "p2": pa.array(z),
-                         "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-    def tag_e_u(t: pa.Table) -> pa.Table:
-        z = np.zeros(t.num_rows, np.int64)
-        return pa.table({"gkey": t.column("src"), "p1": t.column("dst"),
-                         "p2": pa.array(z),
-                         "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    def _attach(df: pd.DataFrame) -> pd.DataFrame:
-        tag = df["tag"].to_numpy()
-        own, fol = df[tag == 1], df[tag == 0]
-        if not len(fol):
-            z = np.array([], np.int64)
-            return pd.DataFrame({"k": z, "other": z, "carried": z,
-                                 "dg": z})
-        ok = own["gkey"].to_numpy(np.int64)
-        od = own["p1"].to_numpy(np.int64)
-        o = np.argsort(ok, kind="stable")
-        ok, od = ok[o], od[o]
-        g = fol["gkey"].to_numpy(np.int64)
-        idx = np.searchsorted(ok, g)
-        return pd.DataFrame({"k": g,
-                             "other": fol["p1"].to_numpy(np.int64),
-                             "carried": fol["p2"].to_numpy(np.int64),
-                             "dg": od[idx]})
-
-    def tag_e_v(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("other"), "p1": t.column("k"),
-                         "p2": t.column("dg"),
-                         "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    def orient(t: pa.Table) -> pa.Table:
-        v_ = t.column("k").to_numpy(zero_copy_only=False)
-        u_ = t.column("other").to_numpy(zero_copy_only=False)
-        du = t.column("carried").to_numpy(zero_copy_only=False)
-        dv = t.column("dg").to_numpy(zero_copy_only=False)
-        fwd = (du < dv) | ((du == dv) & (u_ < v_))
-        return pa.table({"x": pa.array(np.where(fwd, u_, v_)),
-                         "y": pa.array(np.where(fwd, v_, u_)),
-                         "dy": pa.array(np.where(fwd, dv, du))})
-
-    def _wedge_kernel(df: pd.DataFrame) -> pd.DataFrame:
-        x = df["x"].to_numpy(np.int64)
-        y = df["y"].to_numpy(np.int64)
-        dy = df["dy"].to_numpy(np.int64)
-        if not len(x):
-            z = np.array([], np.int64)
-            return pd.DataFrame({"b": z, "c": z, "a": z})
-        o = np.lexsort((y, dy, x))
-        x, y = x[o], y[o]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(x[1:] != x[:-1]) + 1, [len(x)]))
-        wb, wc, wg = _pairs_from_sorted_groups(starts, y)
-        return pd.DataFrame({"b": wb, "c": wc, "a": x[starts[:-1]][wg]})
-
-    def tag_close_e(t: pa.Table) -> pa.Table:
-        z = np.zeros(t.num_rows, np.int64)
-        return pa.table({"gkey": t.column("x"), "c": t.column("y"),
-                         "a": pa.array(z),
-                         "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-    def tag_close_w(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("b"), "c": t.column("c"),
-                         "a": t.column("a"),
-                         "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    def _close_credit(df: pd.DataFrame) -> pd.DataFrame:
-        """Found triangles emit THREE canonical edge-credit rows."""
-        tag = df["tag"].to_numpy()
-        own, fol = df[tag == 1], df[tag == 0]
-        z = np.array([], np.int64)
-        if not len(fol) or not len(own):
-            return pd.DataFrame({"eu": z, "ev": z})
-        eb = own["gkey"].to_numpy(np.int64)
-        ec = own["c"].to_numpy(np.int64)
-        wb = fol["gkey"].to_numpy(np.int64)
-        wc = fol["c"].to_numpy(np.int64)
-        wa = fol["a"].to_numpy(np.int64)
-        allc, cinv = np.unique(np.concatenate([ec, wc]),
-                               return_inverse=True)
-        allb, binv = np.unique(np.concatenate([eb, wb]),
-                               return_inverse=True)
-        m = np.int64(len(allc))
-        ek = np.sort(binv[:len(eb)] * m + cinv[:len(ec)])
-        wk = binv[len(eb):] * m + cinv[len(ec):]
-        idx = np.searchsorted(ek, wk)
-        found = np.zeros(len(wk), bool)
-        inb = idx < len(ek)
-        found[inb] = ek[idx[inb]] == wk[inb]
-        ta, tb_, tc = wa[found], wb[found], wc[found]
-        eu = np.concatenate([np.minimum(ta, tb_), np.minimum(ta, tc),
-                             np.minimum(tb_, tc)])
-        ev = np.concatenate([np.maximum(ta, tb_), np.maximum(ta, tc),
-                             np.maximum(tb_, tc)])
-        return pd.DataFrame({"eu": eu, "ev": ev})
-
-    def tag_cred(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("eu"),
-                         "other": t.column("ev"),
-                         "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    def tag_alive(t: pa.Table) -> pa.Table:
-        return pa.table({"gkey": t.column("src"),
-                         "other": t.column("dst"),
-                         "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-    def _filter_support(df: pd.DataFrame) -> pd.DataFrame:
-        """Alive edges with >= thr credit rows survive."""
-        tag = df["tag"].to_numpy()
-        own, cr = df[tag == 1], df[tag == 0]
-        z = np.array([], np.int64)
-        if not len(own):
-            return pd.DataFrame({"src": z, "dst": z})
-        eu = own["gkey"].to_numpy(np.int64)
-        ev = own["other"].to_numpy(np.int64)
-        if len(cr):
-            cu = cr["gkey"].to_numpy(np.int64)
-            cv = cr["other"].to_numpy(np.int64)
-            au, uinv = np.unique(np.concatenate([eu, cu]),
-                                 return_inverse=True)
-            av, vinv = np.unique(np.concatenate([ev, cv]),
-                                 return_inverse=True)
-            m = np.int64(len(av))
-            ck_ = np.sort(uinv[len(eu):] * m + vinv[len(ev):])
-            ek_ = uinv[:len(eu)] * m + vinv[:len(ev)]
-            sup = (np.searchsorted(ck_, ek_, side="right")
-                   - np.searchsorted(ck_, ek_, side="left"))
-        else:
-            sup = np.zeros(len(eu), np.int64)
-        sel = sup >= thr
-        return pd.DataFrame({"src": eu[sel], "dst": ev[sel]})
-
-    for _ in range(max_rounds):
-        if n_alive == 0:
-            break
-        deg = _ipm(alive.map_batches(node_rows, batch_format="pyarrow"),
-                   "node", _count_per_node,
-                   num_partitions=num_partitions).materialize()
-        e_du = _ipm(alive.map_batches(tag_e_u, batch_format="pyarrow")
-                    .union(deg.map_batches(tag_deg,
-                                           batch_format="pyarrow")),
-                    "gkey", _attach, num_partitions=num_partitions)
-        e_duv = _ipm(e_du.map_batches(tag_e_v, batch_format="pyarrow")
-                     .union(deg.map_batches(tag_deg,
-                                            batch_format="pyarrow")),
-                     "gkey", _attach, num_partitions=num_partitions)
-        oriented = e_duv.map_batches(orient,
-                                     batch_format="pyarrow").materialize()
-        wedges = _ipm(oriented, "x", _wedge_kernel,
-                      num_partitions=num_partitions)
-        credits = _ipm(oriented.map_batches(tag_close_e,
-                                            batch_format="pyarrow")
-                       .union(wedges.map_batches(tag_close_w,
-                                                 batch_format="pyarrow")),
-                       "gkey", _close_credit,
-                       num_partitions=num_partitions)
-        alive = _ipm(alive.map_batches(tag_alive, batch_format="pyarrow")
-                     .union(credits.map_batches(tag_cred,
-                                                batch_format="pyarrow")),
-                     "gkey", _filter_support,
-                     num_partitions=num_partitions).materialize()
-        n_next = alive.count()
-        if n_next == n_alive:
-            break
-        n_alive = n_next
-    else:
-        raise RuntimeError(f"k_truss did not converge in "
-                           f"{max_rounds} rounds")
-
-    cat = pa.concat_tables(
-        [pa.table(b) for b in alive.iter_batches(batch_format="pyarrow")])
-    if cat.num_rows == 0:
-        return empty
-    return cat.select(["src", "dst"]).sort_by(
-        [("src", "ascending"), ("dst", "ascending")])
 
 
 def reciprocity(edges_ds, src: str = "src", dst: str = "dst",
@@ -3484,342 +2234,6 @@ def tree_rollup(nodes_ds, node_col: str = "node",
     return int_part_map(A, "a", finish, num_partitions=num_partitions)
 
 
-@ray.remote
-def _val_sum(t: pa.Table) -> int:
-    import pyarrow.compute as pc
-    return int(pc.sum(t.column("val")).as_py() or 0)
-
-
-def _kosaraju(u: np.ndarray, v: np.ndarray):
-    """Driver SCC via iterative Kosaraju over CSR adjacency. Returns
-    (nodes_sorted, comp) with comp = MIN member id of the node's
-    strongly connected component."""
-    nodes = np.unique(np.concatenate((u, v)))
-    n = len(nodes)
-    ui = np.searchsorted(nodes, u)
-    vi = np.searchsorted(nodes, v)
-
-    def csr(src, dst):
-        order = np.argsort(src, kind="stable")
-        s, d = src[order], dst[order]
-        indptr = np.searchsorted(s, np.arange(n + 1))
-        return indptr, d
-
-    fp, fd = csr(ui, vi)
-    bp, bd = csr(vi, ui)
-
-    # pass 1: finish order on G (iterative DFS with explicit cursor)
-    seen = np.zeros(n, bool)
-    cursor = fp[:-1].copy()
-    finish = []
-    for s0 in range(n):
-        if seen[s0]:
-            continue
-        seen[s0] = True
-        stack = [s0]
-        while stack:
-            x = stack[-1]
-            advanced = False
-            while cursor[x] < fp[x + 1]:
-                y = fd[cursor[x]]
-                cursor[x] += 1
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-                    advanced = True
-                    break
-            if not advanced:
-                finish.append(stack.pop())
-
-    # pass 2: DFS on G^T in reverse finish order
-    comp = np.full(n, -1, np.int64)
-    seen2 = np.zeros(n, bool)
-    for s0 in reversed(finish):
-        if seen2[s0]:
-            continue
-        members = [s0]
-        seen2[s0] = True
-        stack = [s0]
-        while stack:
-            x = stack.pop()
-            for j in range(bp[x], bp[x + 1]):
-                y = bd[j]
-                if not seen2[y]:
-                    seen2[y] = True
-                    members.append(y)
-                    stack.append(y)
-        mn = nodes[min(members)]
-        for m in members:
-            comp[m] = mn
-    return nodes, comp
-
-
-def scc_components(edges_ds, src: str = "src", dst: str = "dst",
-                   driver_limit: int = DRIVER_CC_MAX,
-                   max_rounds: int = 16, max_iters: int = 64,
-                   num_partitions: int = 8):
-    """STRONGLY connected components of a directed edge Dataset —
-    connected_components' directed sibling (mutual reachability, the
-    web-graph primitive behind Broder's bow-tie analysis). Returns a
-    Dataset of (node, component), component = MIN member id.
-
-    Below ``driver_limit`` edges: iterative Kosaraju on the driver.
-    Above it — or with ``driver_limit=0`` — the distributed plan is
-    FORWARD-BACKWARD COLORING (Orzan): per outer round over the
-    still-unassigned subgraph,
-
-        color(v) <- max{u : u reaches v}    (max-label relaxation to
-                                             fixpoint, exact integer
-                                             sum convergence scalar)
-        roots r: color(r) == r; SCC(r) = {v : color(v) = r and
-                 v reaches r} — the backward flag propagates ONLY
-                 within color-r nodes (correct because any node on a
-                 v->r path inherits color r: r reaches it through v,
-                 and a larger claimant would recolor r itself)
-        assign SCC(r) for every root in parallel, drop those nodes,
-        repeat
-
-    Every keyed exchange rides shuffles.int_part_map (the
-    connected_components rationale: Dataset.join dies on empty
-    partitions and pays sort-shuffle fixed costs per call). Outer
-    rounds peel at least one SCC per color class per round —
-    O(#SCC-levels) worst case on a chain-of-SCCs; both loops carry
-    max_rounds/max_iters warnings like connected_components."""
-    import ray
-
-    from .shuffles import int_part_map
-
-    edges_ds = edges_ds.materialize()
-    n_edges = edges_ds.count()
-    if n_edges == 0:
-        return ray.data.from_arrow(pa.table(
-            {"node": pa.array([], pa.int64()),
-             "component": pa.array([], pa.int64())}))
-
-    if n_edges <= driver_limit:
-        cols = [pa.table(b) for b in
-                edges_ds.select_columns([src, dst])
-                        .iter_batches(batch_format="pyarrow")]
-        cat = pa.concat_tables(cols)
-        u = cat.column(src).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        v = cat.column(dst).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        nodes, comp = _kosaraju(u, v)
-        return ray.data.from_arrow(pa.table(
-            {"node": pa.array(nodes), "component": pa.array(comp)}))
-
-    def to_e(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": t.column(src).cast(pa.int64()),
-            "dst": t.column(dst).cast(pa.int64())})
-
-    def dedupe_edges(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["src", "dst"])
-
-    live = int_part_map(
-        edges_ds.map_batches(to_e, batch_format="pyarrow"),
-        "src", dedupe_edges,
-        num_partitions=num_partitions).materialize()
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        a = t.column("src").combine_chunks()
-        b = t.column("dst").combine_chunks()
-        return pa.table({"node": pa.concat_arrays([a, b])})
-
-    def distinct_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["node"])
-
-    pending = int_part_map(
-        live.map_batches(node_rows, batch_format="pyarrow"),
-        "node", distinct_nodes,
-        num_partitions=num_partitions).materialize()
-
-    assigned = []  # list of pa.Tables (node, component) — O(result)
-
-    def _fixpoint(edges, state, combine, payload_from_state):
-        """Relax messages along `edges` into per-node `combine` until
-        the integer state sum stabilizes. state: (node, val)."""
-        prev = None
-        for _ in range(max_iters):
-            tagged = edges.map_batches(
-                lambda t: pa.table({
-                    "gkey": t.column("src"), "dst": t.column("dst"),
-                    "val": pa.array(np.zeros(t.num_rows, np.int64)),
-                    "tag": pa.array(np.zeros(t.num_rows, np.int8))}),
-                batch_format="pyarrow") \
-                .union(state.map_batches(
-                    lambda t: pa.table({
-                        "gkey": t.column("node"),
-                        "dst": pa.array(np.zeros(t.num_rows, np.int64)),
-                        "val": t.column("val"),
-                        "tag": pa.array(np.ones(t.num_rows, np.int8))}),
-                    batch_format="pyarrow"))
-            msgs = int_part_map(tagged, "gkey", payload_from_state,
-                                num_partitions=num_partitions)
-            state = int_part_map(msgs.union(state), "node", combine,
-                                 num_partitions=num_partitions) \
-                .materialize()
-            s = sum(ray.get([_val_sum.remote(r)
-                             for r in state.to_arrow_refs()]))
-            if prev is not None and s == prev:
-                return state, True
-            prev = s
-        import warnings
-        warnings.warn(
-            f"scc_components: relaxation did not stabilize within "
-            f"max_iters={max_iters}", RuntimeWarning)
-        return state, False
-
-    def fwd_emit(df: pd.DataFrame) -> pd.DataFrame:
-        # owner src: forward its current color along each out-edge
-        own = df[df["tag"] == 1][["gkey", "val"]]
-        e = df[df["tag"] == 0][["gkey", "dst"]]
-        out = e.merge(own, on="gkey")[["dst", "val"]]
-        return out.rename(columns={"dst": "node"})
-
-    def max_combine(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", sort=False)["val"].max().reset_index()
-        return g
-
-    for _ in range(max_rounds):
-        n_pending = pending.count()
-        if n_pending == 0:
-            break
-
-        # colors init: node id itself
-        colors = pending.map_batches(
-            lambda t: pa.table({"node": t.column("node"),
-                                "val": t.column("node")}),
-            batch_format="pyarrow").materialize()
-        colors, _ok = _fixpoint(live, colors, max_combine, fwd_emit)
-
-        # backward flag: 1 at roots, spread along REVERSED edges
-        # between same-color nodes. Encoding disambiguates a node's
-        # OWN state row from incoming messages inside the combiner
-        # (an incoming color may exceed the receiver's own color —
-        # sender reaches a bigger root the receiver doesn't):
-        #   state row   val = color*4 + 2 + flag
-        #   message row val = color*4 + 1
-        def init_flag(t: pa.Table) -> pa.Table:
-            node = t.column("node").to_numpy(zero_copy_only=False)
-            col = t.column("val").to_numpy(zero_copy_only=False)
-            flag = (col == node).astype(np.int64)
-            return pa.table({"node": pa.array(node),
-                             "val": pa.array(col * 4 + 2 + flag)})
-
-        flags = colors.map_batches(init_flag,
-                                   batch_format="pyarrow").materialize()
-
-        rev = live.map_batches(
-            lambda t: pa.table({"src": t.column("dst"),
-                                "dst": t.column("src")}),
-            batch_format="pyarrow")
-
-        def bw_emit(df: pd.DataFrame) -> pd.DataFrame:
-            own = df[df["tag"] == 1][["gkey", "val"]]
-            own = own[own["val"] % 4 == 3]        # flagged owners only
-            e = df[df["tag"] == 0][["gkey", "dst"]]
-            out = e.merge(own, on="gkey")
-            out["val"] = (out["val"] // 4) * 4 + 1  # -> message row
-            return out[["dst", "val"]].rename(columns={"dst": "node"})
-
-        def flag_combine(df: pd.DataFrame) -> pd.DataFrame:
-            # per node: exactly one own state row (val%4 in {2,3})
-            # plus zero or more messages (val%4 == 1); the node flips
-            # to flagged iff any incoming message's color equals its
-            # OWN color (receiver-side color equality check).
-            v = df["val"].to_numpy(np.int64)
-            node = df["node"].to_numpy(np.int64)
-            is_own = (v % 4) >= 2
-            own = pd.DataFrame({"node": node[is_own],
-                                "oval": v[is_own]})
-            msg = pd.DataFrame({"node": node[~is_own],
-                                "mcol": v[~is_own] // 4})
-            if len(msg):
-                j = msg.merge(own, on="node")
-                hit = j[j["mcol"] == j["oval"] // 4] \
-                    .drop_duplicates(subset=["node"])[["node"]]
-                hit["bump"] = np.int64(1)
-                own = own.merge(hit, on="node", how="left")
-                bump = own["bump"].fillna(0).astype(np.int64)
-                new_val = np.where(own["oval"] % 4 == 3,
-                                   own["oval"],
-                                   own["oval"] + bump)
-            else:
-                new_val = own["oval"].to_numpy(np.int64)
-            return pd.DataFrame({"node": own["node"].to_numpy(np.int64),
-                                 "val": new_val.astype(np.int64)})
-
-        flags, _ok2 = _fixpoint(rev, flags, flag_combine, bw_emit)
-
-        # members: flag==1 -> assigned this round, grouped by color
-        def split_done(t: pa.Table) -> pa.Table:
-            node = t.column("node").to_numpy(zero_copy_only=False)
-            val = t.column("val").to_numpy(zero_copy_only=False)
-            done = (val % 4) == 3
-            return pa.table({"node": pa.array(node[done]),
-                             "root": pa.array(val[done] // 4)})
-
-        done_ds = flags.map_batches(split_done,
-                                    batch_format="pyarrow")
-
-        def min_label(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("root", sort=False)["node"].agg(
-                ["min"]).reset_index()
-            g = g.rename(columns={"min": "component"})
-            return df.merge(g, on="root")[["node", "component"]]
-
-        comp_tbl = pa.concat_tables(
-            [pa.table(b) for b in
-             int_part_map(done_ds, "root", min_label,
-                          num_partitions=num_partitions)
-             .iter_batches(batch_format="pyarrow")] or
-            [pa.table({"node": pa.array([], pa.int64()),
-                       "component": pa.array([], pa.int64())})])
-        assigned.append(comp_tbl)
-
-        # shrink: drop assigned nodes from pending and their edges
-        done_nodes = np.sort(comp_tbl.column("node").to_numpy(
-            zero_copy_only=False).astype(np.int64))
-        done_ref = ray.put(done_nodes)
-
-        def drop_nodes(t: pa.Table) -> pa.Table:
-            dn = ray.get(done_ref)
-            node = t.column("node").to_numpy(zero_copy_only=False)
-            keep = np.searchsorted(dn, node)
-            mask = ~((keep < len(dn)) & (dn[np.minimum(
-                keep, len(dn) - 1)] == node))
-            return t.filter(pa.array(mask))
-
-        def drop_edges(t: pa.Table) -> pa.Table:
-            dn = ray.get(done_ref)
-            s = t.column("src").to_numpy(zero_copy_only=False)
-            d = t.column("dst").to_numpy(zero_copy_only=False)
-
-            def hit(x):
-                i = np.searchsorted(dn, x)
-                return (i < len(dn)) & (dn[np.minimum(
-                    i, len(dn) - 1)] == x)
-
-            return t.filter(pa.array(~(hit(s) | hit(d))))
-
-        pending = pending.map_batches(
-            drop_nodes, batch_format="pyarrow").materialize()
-        live = live.map_batches(
-            drop_edges, batch_format="pyarrow").materialize()
-    else:
-        import warnings
-        warnings.warn(
-            f"scc_components: {pending.count()} nodes unassigned "
-            f"after max_rounds={max_rounds}", RuntimeWarning)
-
-    out = pa.concat_tables(assigned) if assigned else pa.table(
-        {"node": pa.array([], pa.int64()),
-         "component": pa.array([], pa.int64())})
-    return ray.data.from_arrow(out)
-
-
 def square_counts(edges_ds, src: str = "src", dst: str = "dst",
                   driver_limit: int = 100_000,
                   num_partitions: int = 16):
@@ -4035,446 +2449,6 @@ def bipartite_check(edges_ds, src: str = "src", dst: str = "dst",
                         num_partitions=num_partitions)
 
 
-def betweenness_landmarks(edges_ds, n_sources: int = 2, radius: int = 4,
-                          src: str = "src", dst: str = "dst",
-                          driver_limit: int = DRIVER_CC_MAX,
-                          num_partitions: int = 8):
-    """RADIUS-BOUNDED Brandes betweenness from landmark sources over
-    the undirected simple graph: for each of the ``n_sources``
-    smallest node ids s, run Brandes' two phases restricted to
-    shortest paths of length <= radius (the published
-    bounded-distance / k-betweenness variant — exact betweenness is
-    O(nm) and needs every source; landmarks + radius is the scale
-    estimator), and report cb(v) = sum_s delta_s(v):
-
-        forward:  h(v), sigma(v) by BFS levels — sigma sums are EXACT
-                  integers (order-free)
-        backward: delta(v) = fold over successors w IN ASCENDING w
-                  ORDER of (sigma(v)::D / sigma(w)::D) * (1 + delta(w))
-                  — the ordered fold == SQL list(ORDER BY w)->list_sum,
-                  so driver, distributed and oracle agree bit-for-bit
-        cb(v)   = fold over sources in ascending s order (landmark's
-                  own delta term excluded)
-
-    Returns a Table (node, cb) over nodes reached by any landmark,
-    sorted by node.
-
-    Scale shape: below ``driver_limit`` edges the whole thing is
-    numpy level arrays on the driver. Above — or with
-    ``driver_limit=0`` — each level is ONE tagged keyed exchange
-    (frontier x edges rendezvous; integer sigma message sums), and
-    each backward level is ONE reversed rendezvous whose per-node
-    fold sorts successor terms by id inside the owner partition, so
-    float addition order is identical to the driver path."""
-    import ray
-
-    from .shuffles import int_part_map
-
-    edges_ds = edges_ds.materialize()
-    n_edges = edges_ds.count()
-    empty = pa.table({"node": pa.array([], pa.int64()),
-                      "cb": pa.array([], pa.float64())})
-    if n_edges == 0:
-        return empty
-
-    # --- collect the undirected distinct edge list handling ---------
-    def to_und(t: pa.Table) -> pa.Table:
-        a = t.column(src).cast(pa.int64()).combine_chunks()
-        b = t.column(dst).cast(pa.int64()).combine_chunks()
-        return pa.table({"src": pa.concat_arrays([a, b]),
-                         "dst": pa.concat_arrays([b, a])})
-
-    und = int_part_map(
-        edges_ds.map_batches(to_und, batch_format="pyarrow"),
-        "src", _distinct_edges,
-        num_partitions=num_partitions).materialize()
-
-    # landmarks: n_sources smallest node ids
-    @ray.remote
-    def _min_nodes(t: pa.Table, k: int):
-        u = np.unique(t.column("src").to_numpy(zero_copy_only=False))
-        return u[:k]
-
-    mins = ray.get([_min_nodes.remote(r, n_sources)
-                    for r in und.to_arrow_refs()])
-    sources = np.unique(np.concatenate(
-        [m for m in mins if len(m)]))[:n_sources].tolist()
-    if not sources:
-        return empty
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables(
-            [pa.table(b) for b in und.iter_batches(
-                batch_format="pyarrow")])
-        u = cat.column("src").to_numpy(zero_copy_only=False)
-        v = cat.column("dst").to_numpy(zero_copy_only=False)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        nodes = np.unique(u)
-        ui = np.searchsorted(nodes, u)
-        vi = np.searchsorted(nodes, v)
-        order = np.argsort(ui, kind="stable")
-        su, sv = ui[order], vi[order]
-        indptr = np.searchsorted(su, np.arange(len(nodes) + 1))
-        cb = {}
-        for s in sources:
-            si = int(np.searchsorted(nodes, s))
-            h = np.full(len(nodes), -1, np.int64)
-            sig = np.zeros(len(nodes), object)
-            h[si] = 0
-            sig[si] = 1
-            levels = [[si]]
-            for r in range(radius):
-                nxt = {}
-                for x in levels[-1]:
-                    for j in range(indptr[x], indptr[x + 1]):
-                        y = int(sv[j])
-                        if h[y] == -1 or h[y] == r + 1:
-                            h[y] = r + 1
-                            nxt[y] = nxt.get(y, 0) + int(sig[x])
-                if not nxt:
-                    break
-                for y, sg in nxt.items():
-                    sig[y] = sg
-                levels.append(sorted(nxt))
-            delta = np.zeros(len(nodes), np.float64)
-            for lev in range(len(levels) - 2, -1, -1):
-                for x in levels[lev]:
-                    acc = 0.0
-                    succ = sorted(
-                        int(sv[j]) for j in range(indptr[x],
-                                                  indptr[x + 1])
-                        if h[sv[j]] == lev + 1)
-                    for w in succ:
-                        acc = acc + (float(sig[x]) / float(sig[w])) \
-                            * (1.0 + delta[w])
-                    delta[x] = acc
-            for lev in levels:
-                for x in lev:
-                    if int(nodes[x]) == s:
-                        continue
-                    nd = int(nodes[x])
-                    cb[nd] = cb.get(nd, 0.0) + float(delta[x])
-        ks = sorted(cb)
-        return pa.table({"node": pa.array(ks, pa.int64()),
-                         "cb": pa.array([cb[k] for k in ks],
-                                        pa.float64())})
-
-    # --- distributed path -------------------------------------------
-    cb_acc: dict = {}
-    for s in sources:
-        # forward: levels as (node, sig) tables; seen as marker rows
-        frontier = pa.table({"node": pa.array([s], pa.int64()),
-                             "sig": pa.array([1], pa.int64())})
-        levels = [frontier]
-        seen_tbl = frontier.select(["node"])
-        for r in range(radius):
-            f_ds = ray.data.from_arrow(levels[-1])
-            seen_ds = ray.data.from_arrow(seen_tbl)
-
-            def tag_e(t: pa.Table) -> pa.Table:
-                return pa.table({
-                    "gkey": t.column("src"), "pay": t.column("dst"),
-                    "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-            def tag_f(t: pa.Table) -> pa.Table:
-                return pa.table({
-                    "gkey": t.column("node"), "pay": t.column("sig"),
-                    "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-            def emit(df: pd.DataFrame) -> pd.DataFrame:
-                e = df[df["tag"] == 0][["gkey", "pay"]].rename(
-                    columns={"pay": "dst"})
-                f = df[df["tag"] == 1][["gkey", "pay"]].rename(
-                    columns={"pay": "sig"})
-                out = e.merge(f, on="gkey")[["dst", "sig"]]
-                return out.rename(columns={"dst": "node"})
-
-            msgs = int_part_map(
-                und.map_batches(tag_e, batch_format="pyarrow")
-                   .union(f_ds.map_batches(tag_f,
-                                           batch_format="pyarrow")),
-                "gkey", emit, num_partitions=num_partitions)
-
-            def tag_m(t: pa.Table) -> pa.Table:
-                return pa.table({
-                    "gkey": t.column("node"), "pay": t.column("sig"),
-                    "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-            def tag_seen(t: pa.Table) -> pa.Table:
-                return pa.table({
-                    "gkey": t.column("node"),
-                    "pay": pa.array(np.zeros(t.num_rows, np.int64)),
-                    "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-            def comb(df: pd.DataFrame) -> pd.DataFrame:
-                m = df[df["tag"] == 0]
-                sn = set(df[df["tag"] == 1]["gkey"].tolist())
-                if not len(m):
-                    return pd.DataFrame(
-                        {"node": np.array([], np.int64),
-                         "sig": np.array([], np.int64)})
-                g = m.groupby("gkey", sort=True)["pay"].sum() \
-                     .reset_index()
-                g = g[~g["gkey"].isin(sn)]
-                return g.rename(columns={"gkey": "node",
-                                         "pay": "sig"})
-
-            nf = int_part_map(
-                msgs.map_batches(tag_m, batch_format="pyarrow")
-                    .union(seen_ds.map_batches(
-                        tag_seen, batch_format="pyarrow")),
-                "gkey", comb, num_partitions=num_partitions)
-            nf_tbl = pa.concat_tables(
-                [pa.table(b) for b in nf.iter_batches(
-                    batch_format="pyarrow")] or
-                [pa.table({"node": pa.array([], pa.int64()),
-                           "sig": pa.array([], pa.int64())})])
-            if nf_tbl.num_rows == 0:
-                break
-            nf_tbl = nf_tbl.sort_by("node")
-            levels.append(nf_tbl)
-            seen_tbl = pa.concat_tables(
-                [seen_tbl, nf_tbl.select(["node"])])
-        # backward: level tables are O(level) driver-side; the
-        # per-level exchange computes ordered folds per node
-        deltas = [None] * len(levels)
-        deltas[-1] = {int(n): 0.0 for n in
-                      levels[-1].column("node").to_pylist()}
-        for lev in range(len(levels) - 2, -1, -1):
-            cur = levels[lev]
-            nxt = levels[lev + 1]
-            dn = deltas[lev + 1]
-            nxt_sig = {int(n): int(g) for n, g in
-                       zip(nxt.column("node").to_pylist(),
-                           nxt.column("sig").to_pylist())}
-            cur_ref = ray.put({int(n): int(g) for n, g in
-                               zip(cur.column("node").to_pylist(),
-                                   cur.column("sig").to_pylist())})
-            info_ref = ray.put((nxt_sig, dn))
-
-            def tag_e2(t: pa.Table) -> pa.Table:
-                # keyed by the CURRENT-level node v so v's ENTIRE
-                # successor fold happens inside one partition (the
-                # ordered fold cannot be split); successor (sig,
-                # delta) level maps ride as broadcasts — level state
-                # is O(frontier), the radius-bounded landmark
-                # variant's accepted working set
-                return pa.table({
-                    "gkey": t.column("src"), "pay": t.column("dst"),
-                    "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-            def fold_kernel(df: pd.DataFrame, _cur=cur_ref,
-                            _info=info_ref) -> pd.DataFrame:
-                curmap = ray.get(_cur)
-                nsig, ndel = ray.get(_info)
-                e = df[df["tag"] == 0]
-                if not len(e):
-                    return pd.DataFrame(
-                        {"node": np.array([], np.int64),
-                         "delta": np.array([], np.float64)})
-                w = e["pay"].to_numpy(np.int64)
-                vv = e["gkey"].to_numpy(np.int64)
-                keep = np.array([x in nsig for x in w], bool) & \
-                    np.array([x in curmap for x in vv], bool)
-                w, vv = w[keep], vv[keep]
-                order = np.lexsort((w, vv))
-                w, vv = w[order], vv[order]
-                rows_n, rows_d = [], []
-                i = 0
-                while i < len(vv):
-                    j = i
-                    acc = 0.0
-                    sv = float(curmap[int(vv[i])])
-                    while j < len(vv) and vv[j] == vv[i]:
-                        ww = int(w[j])
-                        acc = acc + (sv / float(nsig[ww])) \
-                            * (1.0 + ndel[ww])
-                        j += 1
-                    rows_n.append(int(vv[i]))
-                    rows_d.append(acc)
-                    i = j
-                return pd.DataFrame({"node": rows_n, "delta": rows_d})
-
-            part = int_part_map(
-                und.map_batches(tag_e2, batch_format="pyarrow"),
-                "gkey", fold_kernel, num_partitions=num_partitions)
-            got = {}
-            for b in part.iter_batches(batch_format="pyarrow"):
-                tb = pa.table(b)
-                for n, d in zip(tb.column("node").to_pylist(),
-                                tb.column("delta").to_pylist()):
-                    got[int(n)] = float(d)
-            deltas[lev] = {
-                int(n): got.get(int(n), 0.0)
-                for n in cur.column("node").to_pylist()}
-        for lev, dmap in enumerate(deltas):
-            for n, d in dmap.items():
-                if n == s:
-                    continue
-                cb_acc[n] = cb_acc.get(n, 0.0) + d
-    ks = sorted(cb_acc)
-    return pa.table({"node": pa.array(ks, pa.int64()),
-                     "cb": pa.array([cb_acc[k] for k in ks],
-                                    pa.float64())})
-
-
-def temporal_reach(edges_ds, source: int | None = None,
-                   src: str = "src", dst: str = "dst",
-                   t_col: str = "t",
-                   driver_limit: int = DRIVER_CC_MAX,
-                   max_iters: int = 64, num_partitions: int = 8):
-    """Temporal reachability (earliest-arrival journeys): over a
-    directed TEMPORAL edge set (u, v, t), a journey may take edge
-    (u, v, t) only if t >= its arrival at u, and arrival(v) is the
-    minimum such t — the time-respecting-path primitive (information
-    spread, contact tracing, crawl recrawl scheduling). Source
-    defaults to the smallest node id, with arrival 0. All-integer
-    min-relaxation; exact.
-
-    Below ``driver_limit`` edges: grouped-min Bellman iterations on
-    the driver. Above: the sssp_weighted exchange shape — per round
-    ONE tagged rendezvous sends min(t | t >= arr(u)) messages along
-    out-edges, one grouped min folds them; arrivals only shrink and
-    are integers, so the (count, sum) scalar detects the fixed point
-    exactly. Returns (node, arrival_us) for reached nodes, sorted."""
-    import ray
-
-    from .shuffles import int_part_map
-
-    edges_ds = edges_ds.materialize()
-    n_edges = edges_ds.count()
-    if n_edges == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "arrival_us": pa.array([], pa.int64())})
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables(
-            [pa.table(b) for b in edges_ds.select_columns(
-                [src, dst, t_col]).iter_batches(
-                    batch_format="pyarrow")])
-        u = cat.column(src).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        v = cat.column(dst).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        tt = cat.column(t_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        nodes = np.unique(np.concatenate((u, v)))
-        s = int(nodes[0]) if source is None else int(source)
-        ui = np.searchsorted(nodes, u)
-        vi = np.searchsorted(nodes, v)
-        INF = np.int64(2**62)
-        arr = np.full(len(nodes), INF, np.int64)
-        si = np.searchsorted(nodes, s)
-        if si >= len(nodes) or nodes[si] != s:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "arrival_us": pa.array([], pa.int64())})
-        arr[si] = 0
-        for _ in range(max_iters):
-            ok = tt >= arr[ui]
-            if not ok.any():
-                break
-            cand_v = vi[ok]
-            cand_t = tt[ok]
-            order = np.argsort(cand_v, kind="stable")
-            cv2, ct2 = cand_v[order], cand_t[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(cv2[1:] != cv2[:-1]) + 1))
-            mins = np.minimum.reduceat(ct2, starts)
-            new = arr.copy()
-            np.minimum.at(new, cv2[starts], mins)
-            if (new == arr).all():
-                break
-            arr = new
-        else:
-            import warnings
-            warnings.warn("temporal_reach: no fixed point within "
-                          f"max_iters={max_iters}", RuntimeWarning)
-        got = arr < INF
-        return pa.table({"node": pa.array(nodes[got]),
-                         "arrival_us": pa.array(arr[got])})
-
-    # distributed: tagged rendezvous per round (sssp shape)
-    def to_e(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": t.column(src).cast(pa.int64()),
-            "dst": t.column(dst).cast(pa.int64()),
-            "t": t.column(t_col).cast(pa.int64())})
-
-    e_ds = edges_ds.map_batches(to_e,
-                                batch_format="pyarrow").materialize()
-
-    @ray.remote
-    def _min_node(t: pa.Table):
-        a = t.column("src").to_numpy(zero_copy_only=False)
-        b = t.column("dst").to_numpy(zero_copy_only=False)
-        m = min(int(a.min()) if len(a) else 2**62,
-                int(b.min()) if len(b) else 2**62)
-        return m
-
-    s = (min(ray.get([_min_node.remote(r)
-                      for r in e_ds.to_arrow_refs()]))
-         if source is None else int(source))
-
-    arr = ray.data.from_arrow(pa.table(
-        {"node": pa.array([s], pa.int64()),
-         "val": pa.array([0], pa.int64())})).materialize()
-    prev = None
-    for _ in range(max_iters):
-        def tag_e(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "gkey": t.column("src"), "dst": t.column("dst"),
-                "tv": t.column("t"),
-                "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-        def tag_a(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "gkey": t.column("node"),
-                "dst": pa.array(np.zeros(t.num_rows, np.int64)),
-                "tv": t.column("val"),
-                "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-        def emit(df: pd.DataFrame) -> pd.DataFrame:
-            e = df[df["tag"] == 0][["gkey", "dst", "tv"]]
-            a = df[df["tag"] == 1][["gkey", "tv"]].rename(
-                columns={"tv": "arr"})
-            j = e.merge(a, on="gkey")
-            j = j[j["tv"] >= j["arr"]]
-            return j[["dst", "tv"]].rename(
-                columns={"dst": "node", "tv": "val"})
-
-        msgs = int_part_map(
-            e_ds.map_batches(tag_e, batch_format="pyarrow")
-                .union(arr.map_batches(tag_a,
-                                       batch_format="pyarrow")),
-            "gkey", emit, num_partitions=num_partitions)
-
-        def comb(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("node", sort=True)["val"].min() \
-                  .reset_index()
-            return g
-
-        arr = int_part_map(msgs.union(arr), "node", comb,
-                           num_partitions=num_partitions) \
-            .materialize()
-        stats = ray.get([_val_sum.remote(r)
-                         for r in arr.to_arrow_refs()])
-        n = arr.count()
-        sig = (n, sum(stats))
-        if prev is not None and sig == prev:
-            break
-        prev = sig
-    else:
-        import warnings
-        warnings.warn("temporal_reach: no fixed point within "
-                      f"max_iters={max_iters}", RuntimeWarning)
-    cat = pa.concat_tables(
-        [pa.table(b) for b in arr.iter_batches(
-            batch_format="pyarrow")])
-    return cat.rename_columns(["node", "arrival_us"]) \
-        .sort_by("node")
-
-
 def diameter_sweep(edges_ds, src: str = "src", dst: str = "dst",
                    driver_limit: int = DRIVER_CC_MAX,
                    num_partitions: int = 8):
@@ -4515,306 +2489,3 @@ def diameter_sweep(edges_ds, src: str = "src", dst: str = "dst",
         "far_node": pa.array([far], pa.int64()),
         "diameter_lb": pa.array([int(hp2[end_i])], pa.int64()),
         "end_node": pa.array([int(n2[end_i])], pa.int64())})
-
-
-def katz_centrality(edges_ds, n_steps: int = 4,
-                    src: str = "src", dst: str = "dst",
-                    driver_limit: int = DRIVER_CC_MAX,
-                    num_partitions: int = 8):
-    """Truncated Katz centrality with DYADIC attenuation beta = 1/2:
-    katz(v) = sum_{k=1..n_steps} walks_k(v) / 2^k, where walks_k(v)
-    counts directed length-k walks ending at v (w_0 = 1 everywhere).
-    Walk counts are EXACT integer message sums (the pagerank exchange
-    without divisions) and the attenuated fold adds w_k::D / 2^k in
-    ascending k — every term an exact dyadic, so the result is
-    bit-exact against the unrolled-CTE oracle. Returns
-    (node, w1..w{n_steps}, katz) sorted by node.
-
-    Scale shape: below driver_limit edges, n_steps CSR gather-sums on
-    the driver; above, one tagged keyed rendezvous per step (emit
-    w_{k-1}(u) along each out-edge, grouped integer sum per dst)."""
-    import ray
-
-    from .shuffles import int_part_map
-
-    edges_ds = edges_ds.materialize()
-    n_edges = edges_ds.count()
-    cols = [f"w{k}" for k in range(1, n_steps + 1)]
-    empty = pa.table({"node": pa.array([], pa.int64()),
-                      **{c: pa.array([], pa.int64()) for c in cols},
-                      "katz": pa.array([], pa.float64())})
-    if n_edges == 0:
-        return empty
-
-    def to_e(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t.column(src).cast(pa.int64()),
-                         "dst": t.column(dst).cast(pa.int64())})
-
-    e_ds = edges_ds.map_batches(to_e,
-                                batch_format="pyarrow").materialize()
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables([pa.table(b) for b in e_ds.iter_batches(
-            batch_format="pyarrow")])
-        u = cat.column("src").to_numpy(zero_copy_only=False)
-        v = cat.column("dst").to_numpy(zero_copy_only=False)
-        nodes = np.unique(np.concatenate((u, v)))
-        ui = np.searchsorted(nodes, u)
-        vi = np.searchsorted(nodes, v)
-        w = np.ones(len(nodes), np.int64)
-        ws = []
-        for _ in range(n_steps):
-            nw = np.zeros(len(nodes), np.int64)
-            np.add.at(nw, vi, w[ui])
-            ws.append(nw)
-            w = nw
-        katz = np.zeros(len(nodes), np.float64)
-        for k, wk in enumerate(ws, start=1):
-            katz = katz + wk.astype(np.float64) / float(2 ** k)
-        return pa.table({"node": pa.array(nodes),
-                         **{c: pa.array(wk)
-                            for c, wk in zip(cols, ws)},
-                         "katz": pa.array(katz)})
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        a = t.column("src").combine_chunks()
-        b = t.column("dst").combine_chunks()
-        return pa.table({"node": pa.concat_arrays([a, b])})
-
-    nodes_ds = int_part_map(
-        e_ds.map_batches(node_rows, batch_format="pyarrow"),
-        "node", _distinct_nodes,
-        num_partitions=num_partitions).materialize()
-
-    w_ds = nodes_ds.map_batches(
-        lambda t: pa.table({"node": t.column("node"),
-                            "val": pa.array(np.ones(t.num_rows,
-                                                    np.int64))}),
-        batch_format="pyarrow").materialize()
-    w_tbls = []
-    for _k in range(n_steps):
-        def tag_e(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "gkey": t.column("src"), "dst": t.column("dst"),
-                "val": pa.array(np.zeros(t.num_rows, np.int64)),
-                "tag": pa.array(np.zeros(t.num_rows, np.int8))})
-
-        def tag_w(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "gkey": t.column("node"),
-                "dst": pa.array(np.zeros(t.num_rows, np.int64)),
-                "val": t.column("val"),
-                "tag": pa.array(np.ones(t.num_rows, np.int8))})
-
-        def emit(df: pd.DataFrame) -> pd.DataFrame:
-            e = df[df["tag"] == 0][["gkey", "dst"]]
-            wv = df[df["tag"] == 1][["gkey", "val"]]
-            out = e.merge(wv, on="gkey")[["dst", "val"]]
-            return out.rename(columns={"dst": "node"})
-
-        def zero_nodes(t: pa.Table) -> pa.Table:
-            return pa.table({"node": t.column("node"),
-                             "val": pa.array(
-                                 np.zeros(t.num_rows, np.int64))})
-
-        msgs = int_part_map(
-            e_ds.map_batches(tag_e, batch_format="pyarrow")
-                .union(w_ds.map_batches(tag_w,
-                                        batch_format="pyarrow")),
-            "gkey", emit, num_partitions=num_partitions)
-
-        def comb(df: pd.DataFrame) -> pd.DataFrame:
-            return df.groupby("node", sort=True)["val"].sum() \
-                     .reset_index()
-
-        w_ds = int_part_map(
-            msgs.union(nodes_ds.map_batches(
-                zero_nodes, batch_format="pyarrow")),
-            "node", comb, num_partitions=num_partitions).materialize()
-        w_tbls.append(pa.concat_tables(
-            [pa.table(b) for b in w_ds.iter_batches(
-                batch_format="pyarrow")]).sort_by("node"))
-    nodes = w_tbls[0].column("node")
-    katz = np.zeros(len(nodes), np.float64)
-    out = {"node": nodes}
-    for k, wt in enumerate(w_tbls, start=1):
-        wk = wt.column("val").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        out[f"w{k}"] = pa.array(wk)
-        katz = katz + wk.astype(np.float64) / float(2 ** k)
-    out["katz"] = pa.array(katz)
-    return pa.table(out)
-
-
-def mst_forest(edges_ds, src: str = "src", dst: str = "dst",
-               w_col: str = "w", driver_limit: int = DRIVER_CC_MAX,
-               max_rounds: int = 32, num_partitions: int = 8):
-    """Minimum spanning FOREST of the undirected weighted graph —
-    Kruskal on the driver below ``driver_limit`` edges, BORŮVKA above
-    (the textbook distributed MST): per round every component selects
-    its minimum outgoing edge and the selected edges merge
-    components, halving the component count, so O(log n) rounds.
-    Edge identity is the lexicographic tuple (w, lo, hi), which makes
-    the forest UNIQUE even under weight ties (both engines and the
-    oracle use the same total order). Returns (lo, hi, w) of the
-    forest edges, sorted.
-
-    Distributed round shape: ONE node-keyed rendezvous attaches
-    component labels to edge endpoints, ONE component-keyed exchange
-    picks each component's min outgoing edge, and the selected edges
-    (O(components), geometrically shrinking) merge on the driver's
-    union-find with the new label map broadcast back — the same
-    O(result)-driver contract as the LSH pair resolution."""
-    import ray
-
-    from .shuffles import int_part_map
-
-    def prep(t: pa.Table) -> pa.Table:
-        u = t.column(src).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        v = t.column(dst).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        w = t.column(w_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        keep = u != v
-        u, v, w = u[keep], v[keep], w[keep]
-        return pa.table({"lo": pa.array(np.minimum(u, v)),
-                         "hi": pa.array(np.maximum(u, v)),
-                         "w": pa.array(w)})
-
-    def dedupe(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["lo", "hi", "w"]) \
-            .drop_duplicates(subset=["lo", "hi"])
-
-    edges = int_part_map(edges_ds.map_batches(
-        prep, batch_format="pyarrow"), "lo", dedupe,
-        num_partitions=num_partitions).materialize()
-    n_edges = edges.count()
-    empty = pa.table({"lo": pa.array([], pa.int64()),
-                      "hi": pa.array([], pa.int64()),
-                      "w": pa.array([], pa.int64())})
-    if n_edges == 0:
-        return empty
-
-    def _uf_new():
-        return {}
-
-    def _find(par, x):
-        r = x
-        while par.get(r, r) != r:
-            r = par[r]
-        while par.get(x, x) != x:
-            par[x], x = r, par[x]
-        return r
-
-    if n_edges <= driver_limit:
-        cat = pa.concat_tables([pa.table(b) for b in
-                                edges.iter_batches(
-                                    batch_format="pyarrow")])
-        lo = cat.column("lo").to_numpy(zero_copy_only=False)
-        hi = cat.column("hi").to_numpy(zero_copy_only=False)
-        w = cat.column("w").to_numpy(zero_copy_only=False)
-        order = np.lexsort((hi, lo, w))
-        par = _uf_new()
-        out_l, out_h, out_w = [], [], []
-        for i in order:
-            a, b = _find(par, int(lo[i])), _find(par, int(hi[i]))
-            if a == b:
-                continue
-            par[a] = b
-            out_l.append(int(lo[i]))
-            out_h.append(int(hi[i]))
-            out_w.append(int(w[i]))
-        t = pa.table({"lo": pa.array(out_l, pa.int64()),
-                      "hi": pa.array(out_h, pa.int64()),
-                      "w": pa.array(out_w, pa.int64())})
-        return t.sort_by([("lo", "ascending"), ("hi", "ascending")])
-
-    # --- Borůvka ----------------------------------------------------
-    par: dict = {}
-    chosen: list = []
-    label_ref = ray.put({})
-    for _ in range(max_rounds):
-        def attach(df: pd.DataFrame, _l=label_ref) -> pd.DataFrame:
-            lab = ray.get(_l)
-            if not len(df):
-                return pd.DataFrame({
-                    "ca": np.array([], np.int64),
-                    "cb": np.array([], np.int64),
-                    "lo": np.array([], np.int64),
-                    "hi": np.array([], np.int64),
-                    "w": np.array([], np.int64)})
-            lo = df["lo"].to_numpy(np.int64)
-            hi = df["hi"].to_numpy(np.int64)
-            ca = np.array([lab.get(int(x), int(x)) for x in lo],
-                          np.int64)
-            cb = np.array([lab.get(int(x), int(x)) for x in hi],
-                          np.int64)
-            keep = ca != cb
-            return pd.DataFrame({
-                "ca": ca[keep], "cb": cb[keep],
-                "lo": lo[keep], "hi": hi[keep],
-                "w": df["w"].to_numpy(np.int64)[keep]})
-
-        live = int_part_map(edges, "lo", attach,
-                            num_partitions=num_partitions) \
-            .materialize()
-        if live.count() == 0:
-            break
-
-        def emit_two(t: pa.Table) -> pa.Table:
-            # each live edge competes for BOTH endpoint components
-            ca = t.column("ca").combine_chunks()
-            cb = t.column("cb").combine_chunks()
-            lo = t.column("lo").combine_chunks()
-            hi = t.column("hi").combine_chunks()
-            w = t.column("w").combine_chunks()
-            return pa.table({
-                "comp": pa.concat_arrays([ca, cb]),
-                "lo": pa.concat_arrays([lo, lo]),
-                "hi": pa.concat_arrays([hi, hi]),
-                "w": pa.concat_arrays([w, w])})
-
-        def min_per_comp(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return df[["comp", "lo", "hi", "w"]]
-            df = df.sort_values(["comp", "w", "lo", "hi"])
-            return df.groupby("comp", sort=False).head(1)
-
-        sel = int_part_map(
-            live.map_batches(emit_two, batch_format="pyarrow"),
-            "comp", min_per_comp, num_partitions=num_partitions)
-        sel_cat = pa.concat_tables(
-            [pa.table(b) for b in sel.iter_batches(
-                batch_format="pyarrow")] or [empty])
-        if sel_cat.num_rows == 0:
-            break
-        slo = sel_cat.column("lo").to_numpy(zero_copy_only=False)
-        shi = sel_cat.column("hi").to_numpy(zero_copy_only=False)
-        sw = sel_cat.column("w").to_numpy(zero_copy_only=False)
-        merged = False
-        seen_pairs = set()
-        for i in np.lexsort((shi, slo, sw)):
-            e = (int(slo[i]), int(shi[i]))
-            if e in seen_pairs:
-                continue
-            seen_pairs.add(e)
-            a, b = _find(par, e[0]), _find(par, e[1])
-            if a == b:
-                continue
-            par[a] = b
-            chosen.append((e[0], e[1], int(sw[i])))
-            merged = True
-        if not merged:
-            break
-        roots = {x: _find(par, x) for x in list(par.keys())}
-        label_ref = ray.put(roots)
-    else:
-        import warnings
-        warnings.warn("mst_forest: Borůvka did not converge within "
-                      f"max_rounds={max_rounds}", RuntimeWarning)
-    chosen.sort()
-    return pa.table({
-        "lo": pa.array([c[0] for c in chosen], pa.int64()),
-        "hi": pa.array([c[1] for c in chosen], pa.int64()),
-        "w": pa.array([c[2] for c in chosen], pa.int64())})

@@ -24,6 +24,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from .shuffles import arrow_refs
+
 _LOG = logging.getLogger(__name__)
 
 
@@ -277,12 +279,12 @@ def _block_pair_sims(ta: pa.Table, tb: pa.Table, threshold: float,
 def _near_dup_pairs_exact(ds, threshold: float, id_col: str,
                           vec_col: str) -> pd.DataFrame:
     """Exact all-pairs, DISTRIBUTED: blocks stay in the object store
-    (to_arrow_refs); one Ray task per block pair computes the cross
+    (shuffles.arrow_refs); one Ray task per block pair computes the cross
     matmul and returns only qualifying pairs, so the driver holds
     O(result) rows — never the corpus (VERDICT r1 #2). O(P²) tasks:
     the oracle-checkable baseline for low thresholds / modest corpora;
     the LSH path below is the 100 TB shape."""
-    refs = ds.to_arrow_refs()
+    refs = arrow_refs(ds)
     futs = [_block_pair_sims.remote(refs[i], refs[j], threshold, i == j,
                                     id_col, vec_col)
             for i in range(len(refs)) for j in range(i, len(refs))]

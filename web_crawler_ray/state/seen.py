@@ -260,15 +260,18 @@ class SeenSet:
     trade, SCALE.md)."""
 
     def __init__(self, n_shards: int = 8, spill_threshold: int | None = None):
-        from .placement import session_pool, spread_opts
+        from .placement import session_pool
         self.n_shards = n_shards
         self._free = session_pool(_SHARD_POOLS, n_shards, factory=list)
         try:
             self.shards = self._free.pop()  # atomic: no two sets share one
         except IndexError:
             # 0 CPU: a fractional reservation per shard left a 1-CPU node
-            # without the 1 CPU a fetch task needs (the crawl never started)
-            self.shards = [SeenShard.options(**spread_opts(num_cpus=0)).remote()
+            # without the 1 CPU a fetch task needs (the crawl never started).
+            # SPREAD puts the shards on distinct nodes of a cluster, so the
+            # per-round reduce and mark fan-outs do not queue on one node.
+            opts = {"num_cpus": 0, "scheduling_strategy": "SPREAD"}
+            self.shards = [SeenShard.options(**opts).remote()
                            for _ in range(n_shards)]
         ray.get([s.reset.remote(spill_threshold) for s in self.shards])
 
