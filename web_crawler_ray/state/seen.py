@@ -270,9 +270,9 @@ class SeenSet:
             # without the 1 CPU a fetch task needs (the crawl never started).
             # SPREAD puts the shards on distinct nodes of a cluster, so the
             # per-round reduce and mark fan-outs do not queue on one node.
-            opts = {"num_cpus": 0, "scheduling_strategy": "SPREAD"}
-            self.shards = [SeenShard.options(**opts).remote()
-                           for _ in range(n_shards)]
+            self.shards = [SeenShard.options(
+                num_cpus=0, scheduling_strategy="SPREAD").remote()
+                for _ in range(n_shards)]
         ray.get([s.reset.remote(spill_threshold) for s in self.shards])
 
     def release(self) -> None:
